@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pghive/internal/datagen"
 	"pghive/internal/pg"
+	"pghive/internal/vectorize"
 )
 
 // TestFactoredMatchesDense is the tentpole guarantee: the factored signature
@@ -49,31 +51,97 @@ func TestFactoredMatchesDense(t *testing.T) {
 
 // TestFactoredReportsMatchDense: per-batch cluster counts and adapted LSH
 // parameters — not just the final schema — agree between the two kernels.
-// This pins the claim that the factored path's sample-based adaptation sees
-// exactly the vectors the dense path renders.
+// This pins the claim that the factored path's per-record adaptation sees
+// exactly the vectors the dense path renders. The streams cover both µ
+// estimators (all pairs for ≤ 200 elements per kind, sampled pairs above)
+// and both sides of the per-record memo (few distinct records on the
+// engine graph, many under the noise-ramp scenario's noise).
 func TestFactoredReportsMatchDense(t *testing.T) {
-	g := engineGraph(t, 300)
-	for _, m := range []Method{MethodELSH, MethodMinHash} {
-		cfg := DefaultConfig()
-		cfg.Method = m
-		dense := cfg
-		dense.DenseSignatures = true
-		want := discoverSplit(g, dense, 5, 3)
-		got := discoverSplit(g, cfg, 5, 3)
-		if len(want.Reports) != len(got.Reports) {
-			t.Fatalf("%v: %d factored reports, %d dense", m, len(got.Reports), len(want.Reports))
-		}
-		for i := range want.Reports {
-			w, gr := want.Reports[i], got.Reports[i]
-			if w.NodeClusters != gr.NodeClusters || w.EdgeClusters != gr.EdgeClusters {
-				t.Errorf("%v batch %d: clusters (n=%d,e=%d) factored vs (n=%d,e=%d) dense",
-					m, i, gr.NodeClusters, gr.EdgeClusters, w.NodeClusters, w.EdgeClusters)
+	scn := *datagen.ScenarioByName("noise-ramp")
+	scn.BatchNodes = 1000
+	var ramp []*pg.Batch
+	st := scn.Stream(5)
+	for b := st.Next(); b != nil; b = st.Next() {
+		ramp = append(ramp, b)
+	}
+	streams := []struct {
+		name     string
+		batches  []*pg.Batch
+		sampled  bool // some batch exceeds 200 elements of each kind
+		unmemoed bool // some batch has too many distinct records for the memo
+	}{
+		{"engine-300x5", engineGraph(t, 300).SplitRandom(5, 3), false, false},
+		{"engine-2000x4", engineGraph(t, 2000).SplitRandom(4, 3), true, false},
+		{"noise-ramp", ramp, true, true},
+	}
+	for _, s := range streams {
+		sampled, unmemoed := false, false
+		for _, b := range s.batches {
+			vz := vectorize.NewSession(DefaultConfig().vectorizeConfig()).Vectorize(b)
+			for _, spec := range []kindSpec{nodeSpec(b, vz), edgeSpec(b, vz)} {
+				_, reps := spec.enc().DistinctRecords()
+				sampled = sampled || spec.n > 200
+				// The memo table is skipped once r² exceeds the 20k pairs.
+				unmemoed = unmemoed || (spec.n > 200 && len(reps)*len(reps) > 20_000)
 			}
-			if w.NodeParams != gr.NodeParams || w.EdgeParams != gr.EdgeParams {
-				t.Errorf("%v batch %d: adapted params diverge\nfactored: %+v / %+v\ndense:    %+v / %+v",
-					m, i, gr.NodeParams, gr.EdgeParams, w.NodeParams, w.EdgeParams)
+		}
+		if sampled != s.sampled || unmemoed != s.unmemoed {
+			t.Fatalf("%s: sampled pairs %t, memo bypassed %t; want %t, %t", s.name, sampled, unmemoed, s.sampled, s.unmemoed)
+		}
+		for _, m := range []Method{MethodELSH, MethodMinHash} {
+			cfg := DefaultConfig()
+			cfg.Method = m
+			dense := cfg
+			dense.DenseSignatures = true
+			want := Discover(pg.NewSliceSource(s.batches...), dense)
+			got := Discover(pg.NewSliceSource(s.batches...), cfg)
+			if len(want.Reports) != len(got.Reports) {
+				t.Fatalf("%s %v: %d factored reports, %d dense", s.name, m, len(got.Reports), len(want.Reports))
+			}
+			for i := range want.Reports {
+				w, gr := want.Reports[i], got.Reports[i]
+				if w.NodeClusters != gr.NodeClusters || w.EdgeClusters != gr.EdgeClusters {
+					t.Errorf("%s %v batch %d: clusters (n=%d,e=%d) factored vs (n=%d,e=%d) dense",
+						s.name, m, i, gr.NodeClusters, gr.EdgeClusters, w.NodeClusters, w.EdgeClusters)
+				}
+				if w.NodeParams != gr.NodeParams || w.EdgeParams != gr.EdgeParams {
+					t.Errorf("%s %v batch %d: adapted params diverge\nfactored: %+v / %+v\ndense:    %+v / %+v",
+						s.name, m, i, gr.NodeParams, gr.EdgeParams, w.NodeParams, w.EdgeParams)
+				}
 			}
 		}
+	}
+}
+
+// TestAdaptRecordsAllocsIndependentOfBatchSize: per-record adaptation
+// renders and memoizes per distinct record, so at a fixed set of distinct
+// records a batch four times larger costs no extra allocations.
+func TestAdaptRecordsAllocsIndependentOfBatchSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := &pg.Batch{}
+		for i := 0; i < n; i++ {
+			switch i % 3 {
+			case 0:
+				b.Nodes = append(b.Nodes, pg.NodeRecord{ID: pg.ID(i), Labels: []string{"Person"},
+					Props: pg.Properties{"name": pg.Str("p"), "age": pg.Int(30)}})
+			case 1:
+				b.Nodes = append(b.Nodes, pg.NodeRecord{ID: pg.ID(i), Labels: []string{"Post"},
+					Props: pg.Properties{"content": pg.Str("c")}})
+			default:
+				b.Nodes = append(b.Nodes, pg.NodeRecord{ID: pg.ID(i), Props: pg.Properties{"sensor": pg.Str("s")}})
+			}
+		}
+		vz := vectorize.NewSession(DefaultConfig().vectorizeConfig()).Vectorize(b)
+		spec := nodeSpec(b, vz)
+		recID, reps := spec.enc().DistinctRecords()
+		if len(reps) != 3 {
+			t.Fatalf("n=%d: %d distinct records, want 3", n, len(reps))
+		}
+		return testing.AllocsPerRun(10, func() { adaptRecords(spec, recID, reps, 11) })
+	}
+	// Both sizes take the sampled-pairs branch (> 200 elements).
+	if small, large := allocs(300), allocs(1200); small != large {
+		t.Errorf("adaptRecords allocations grow with the batch: %v at N=300, %v at N=1200", small, large)
 	}
 }
 

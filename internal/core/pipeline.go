@@ -385,6 +385,14 @@ func (p *Pipeline) bucketHint(isEdge bool) int {
 	return est + est/8 + 16
 }
 
+// clusterKindInner runs one kind's cluster step. The dense reference path
+// (Config.DenseSignatures) renders every element vector and adapts with
+// lsh.AdaptParamsAll, the test oracle. The factored kernels build the kind's
+// Encoding once and deduplicate its records in one pass whenever adaptation
+// or MinHash needs them: adaptation then renders one dense vector per
+// distinct sampled record (adaptRecords), and factored MinHash signs once
+// per distinct record. Both yield bit-identical parameters and clusters to
+// the dense path.
 func (p *Pipeline) clusterKindInner(spec kindSpec, arena bool) ([]lsh.Cluster, lsh.Params) {
 	n := spec.n
 	if n == 0 {
@@ -396,74 +404,112 @@ func (p *Pipeline) clusterKindInner(spec kindSpec, arena bool) ([]lsh.Cluster, l
 		manual = p.cfg.EdgeParams
 		mhSeed, adaptSeed, famSeed = 201, 12, 202
 	}
-	switch p.cfg.Method {
-	case MethodMinHash:
-		params := lsh.Params{}
-		if manual != nil {
-			params = *manual
-		} else {
-			params = adaptFromSample(spec, p.cfg.Seed+adaptSeed)
-		}
-		mh := lsh.NewMinHash(params.Tables, p.cfg.Seed+mhSeed)
-		if p.cfg.DenseSignatures {
-			sets := spec.sets()
-			if p.cfg.MinHashRows > 0 {
-				return mh.ClusterBanded(sets, p.cfg.MinHashRows), params
-			}
-			hashes := make([]uint64, n)
-			parmap(n, p.cfg.Parallelism, func(i int) { hashes[i] = mh.SignatureHash(sets[i]) })
-			return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), params
-		}
-		return p.clusterMinHashFactored(spec, mh), params
-	default:
-		if p.cfg.DenseSignatures {
-			vectors := p.renderVectors(spec, arena)
-			params := manual
-			if params == nil {
-				adapted := lsh.AdaptParamsAll(vectors, spec.labelTokens, spec.isEdge, p.cfg.Seed+adaptSeed)
-				params = &adapted
-			}
-			fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, p.cfg.Seed+famSeed)
-			hashes := make([]uint64, n)
-			parmap(n, p.cfg.Parallelism, func(i int) { hashes[i] = fam.SignatureHash(vectors[i]) })
-			return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
-		}
-		params := manual
-		if params == nil {
-			// Adaptation needs Euclidean distances, so only the µ sample is
-			// rendered densely; the signature pass below never materializes
-			// a vector. Same sample indexes and float values as the dense
-			// path's AdaptParamsAll → identical parameters.
-			adapted := adaptFromSample(spec, p.cfg.Seed+adaptSeed)
-			params = &adapted
-		}
-		fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, p.cfg.Seed+famSeed)
-		enc := spec.enc()
-		fk := lsh.NewFactoredELSH(fam, enc.PrefixDim, enc.Prefixes)
-		// The factored kernel computes one projection-dot set per distinct
-		// label prefix; every further element sharing that prefix is a hit.
-		p.instr.Add(obs.CtrPrefixDotsComputed, uint64(len(enc.Prefixes)))
-		p.instr.Add(obs.CtrPrefixDotHits, uint64(n-len(enc.Prefixes)))
-		hashes := make([]uint64, n)
-		parmapChunks(n, p.cfg.Parallelism, func(lo, hi int) {
-			h := fk.Hasher()
-			for i := lo; i < hi; i++ {
-				r := enc.Records[i]
-				hashes[i] = h.SignatureHash(r.TokenID, r.Props)
-			}
-		})
-		return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
+	adaptSeed += p.cfg.Seed
+	if p.cfg.DenseSignatures {
+		return p.clusterKindDense(spec, arena, manual, adaptSeed, p.cfg.Seed+mhSeed, p.cfg.Seed+famSeed)
 	}
+
+	enc := spec.enc()
+	var recID, reps []int
+	if manual == nil || p.cfg.Method == MethodMinHash {
+		recID, reps = enc.DistinctRecords()
+	}
+	params := manual
+	if params == nil {
+		adapted := adaptRecords(spec, recID, reps, adaptSeed)
+		params = &adapted
+	}
+	if p.cfg.Method == MethodMinHash {
+		mh := lsh.NewMinHash(params.Tables, p.cfg.Seed+mhSeed)
+		return p.clusterMinHashFactored(spec, enc, recID, reps, mh), *params
+	}
+	fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, p.cfg.Seed+famSeed)
+	fk := lsh.NewFactoredELSH(fam, enc.PrefixDim, enc.Prefixes)
+	// The factored kernel computes one projection-dot set per distinct
+	// label prefix; every further element sharing that prefix is a hit.
+	p.instr.Add(obs.CtrPrefixDotsComputed, uint64(len(enc.Prefixes)))
+	p.instr.Add(obs.CtrPrefixDotHits, uint64(n-len(enc.Prefixes)))
+	hashes := make([]uint64, n)
+	parmapChunks(n, p.cfg.Parallelism, func(lo, hi int) {
+		h := fk.Hasher()
+		for i := lo; i < hi; i++ {
+			r := enc.Records[i]
+			hashes[i] = h.SignatureHash(r.TokenID, r.Props)
+		}
+	})
+	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
+}
+
+// clusterKindDense is the reference cluster step behind
+// Config.DenseSignatures: every element is rendered (as a vector or a token
+// set) and hashed on its own.
+func (p *Pipeline) clusterKindDense(spec kindSpec, arena bool, manual *lsh.Params, adaptSeed, mhSeed, famSeed int64) ([]lsh.Cluster, lsh.Params) {
+	n := spec.n
+	params := manual
+	var vectors [][]float64
+	if params == nil || p.cfg.Method != MethodMinHash {
+		vectors = p.renderVectors(spec, arena)
+	}
+	if params == nil {
+		adapted := lsh.AdaptParamsAll(vectors, spec.labelTokens, spec.isEdge, adaptSeed)
+		params = &adapted
+	}
+	var hash func(i int) uint64
+	if p.cfg.Method == MethodMinHash {
+		mh := lsh.NewMinHash(params.Tables, mhSeed)
+		sets := spec.sets()
+		if p.cfg.MinHashRows > 0 {
+			return mh.ClusterBanded(sets, p.cfg.MinHashRows), *params
+		}
+		hash = func(i int) uint64 { return mh.SignatureHash(sets[i]) }
+	} else {
+		fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, famSeed)
+		hash = func(i int) uint64 { return fam.SignatureHash(vectors[i]) }
+	}
+	hashes := make([]uint64, n)
+	parmap(n, p.cfg.Parallelism, func(i int) { hashes[i] = hash(i) })
+	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
+}
+
+// adaptRecords adapts the kind's LSH parameters on the paper's µ sample in
+// record form: recID and reps are the kind's Encoding.DistinctRecords. It
+// draws the same sample indexes as lsh.AdaptParamsAll, renders one dense
+// vector per distinct record the sample touches (the record key pins the
+// vector, so any element of the record renders the same floats), and hands
+// the per-sample record ids to lsh.AdaptParamsRecords — the parameters are
+// bit-identical to adapting on every sampled element's own vector.
+func adaptRecords(spec kindSpec, recID, reps []int, seed int64) lsh.Params {
+	idx := lsh.SampleIndexes(spec.n, seed)
+	// local[id] is 1 + the sample-local id of distinct record id (0: not
+	// yet seen in the sample).
+	local := make([]int, len(reps))
+	rec := make([]int, len(idx))
+	elems := make([]int, 0, len(reps))
+	for k, j := range idx {
+		id := recID[j]
+		if local[id] == 0 {
+			elems = append(elems, reps[id])
+			local[id] = len(elems)
+		}
+		rec[k] = local[id] - 1
+	}
+	backing := make([]float64, len(elems)*spec.dim)
+	distinct := make([][]float64, len(elems))
+	for i, e := range elems {
+		v := backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
+		spec.vecInto(e, v)
+		distinct[i] = v
+	}
+	return lsh.AdaptParamsRecords(distinct, rec, spec.n, spec.labelTokens, spec.isEdge, seed)
 }
 
 // clusterMinHashFactored is the factored MinHash path: elements sharing a
 // record (prefix tokens + property-index set — the common case, most
-// elements share a type) are deduplicated and each distinct record's
-// signature is computed once. Exact-key dedup keeps the per-element hashes
-// bit-identical to the dense per-element loop.
-func (p *Pipeline) clusterMinHashFactored(spec kindSpec, mh *lsh.MinHash) []lsh.Cluster {
-	enc := spec.enc()
-	recID, reps := enc.DistinctRecords()
+// elements share a type) are deduplicated (recID, reps from
+// Encoding.DistinctRecords) and each distinct record's signature is computed
+// once. Exact-key dedup keeps the per-element hashes bit-identical to the
+// dense per-element loop.
+func (p *Pipeline) clusterMinHashFactored(spec kindSpec, enc *vectorize.Encoding, recID, reps []int, mh *lsh.MinHash) []lsh.Cluster {
 	// One signature per distinct record; every duplicate record is a hit.
 	p.instr.Add(obs.CtrRecordSigsComputed, uint64(len(reps)))
 	p.instr.Add(obs.CtrRecordSigHits, uint64(spec.n-len(reps)))
@@ -513,22 +559,6 @@ func (p *Pipeline) renderVectors(spec kindSpec, arena bool) [][]float64 {
 	}
 	parmap(spec.n, p.cfg.Parallelism, func(i int) { vectors[i] = spec.vec(i) })
 	return vectors
-}
-
-// adaptFromSample draws the paper's adaptation sample and renders only those
-// elements densely (into one arena) to estimate the distance scale µ — the
-// same indexes and float values AdaptParamsAll sees, without materializing
-// the full batch.
-func adaptFromSample(spec kindSpec, seed int64) lsh.Params {
-	idx := lsh.SampleIndexes(spec.n, seed)
-	backing := make([]float64, len(idx)*spec.dim)
-	sample := make([][]float64, len(idx))
-	for i, j := range idx {
-		v := backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
-		spec.vecInto(j, v)
-		sample[i] = v
-	}
-	return lsh.AdaptParams(sample, spec.n, spec.labelTokens, spec.isEdge, seed)
 }
 
 // internBatch pre-interns every label, property key and endpoint ID the

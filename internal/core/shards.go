@@ -9,9 +9,9 @@
 // order keeps the global symtab assignment — and therefore the serialized
 // schema — deterministic for a fixed (Seed, Shards).
 //
-// The fault-tolerant variant checkpoints the whole fleet into one PGCK6
+// The fault-tolerant variant checkpoints the whole fleet into one PGCK8
 // container: the router's stream position and quarantine list plus one
-// complete PGCK5 section per shard. Sections advance independently (each
+// complete PGCK7 section per shard. Sections advance independently (each
 // shard checkpoints after its own extractions), so a container pairs the
 // newest state of the shard that just saved with the latest states of the
 // rest; on resume the router replays the stream from the beginning and each
@@ -201,8 +201,8 @@ func finishSharded(pipes []*Pipeline, cfg Config, start time.Time, skipped []Ski
 }
 
 // shardCheckpointMagic versions the sharded checkpoint container: router
-// position + quarantine list + one complete PGCK7 section per shard (PGCK8
-// tracks the per-shard drift section of PGCK7, as PGCK6 tracked PGCK5). The
+// position + quarantine list + one complete PGCK7 section per shard (the
+// magic moved PGCK6→PGCK8 when sections gained PGCK7's drift state). The
 // shard count is validated explicitly from the header (it is not part of
 // the configuration fingerprint), so a container written for N shards
 // resumes only under Shards = N.
@@ -281,8 +281,8 @@ func decodeShardContainer(state []byte, cfg Config) (sections [][]byte, slots in
 	return sections, slots, skipped, nil
 }
 
-// shardCoordinator assembles PGCK6 containers: it holds every shard's latest
-// encoded PGCK5 state plus the router's current stream position, and rewrites
+// shardCoordinator assembles PGCK8 containers: it holds every shard's latest
+// encoded PGCK7 state plus the router's current stream position, and rewrites
 // the container whenever any shard checkpoints. One mutex serializes shard
 // saves against router position updates, so a container's position is always
 // ≥ every sub-batch its sections have folded in, and its quarantine list is
@@ -387,7 +387,7 @@ func routeShards(src pg.ErrSource, feeds []chan *pg.Batch, opts FTOptions, co *s
 
 // DiscoverShardedFT is DiscoverFT with the stream partitioned across
 // cfg.Shards pipelines. Shards ≤ 1 delegates to DiscoverFT. Checkpoints are
-// PGCK6 containers covering the whole fleet; resume them with
+// PGCK8 containers covering the whole fleet; resume them with
 // ResumeDiscoverShardedFT.
 func DiscoverShardedFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -397,7 +397,7 @@ func DiscoverShardedFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, e
 	return runShardedFT(newShardPipelines(cfg), make([]int, cfg.Shards), src, cfg, opts)
 }
 
-// ResumeDiscoverShardedFT restores a fleet from a PGCK6 container and
+// ResumeDiscoverShardedFT restores a fleet from a PGCK8 container and
 // continues draining src — which must replay the same stream from the
 // beginning — then merges and finalizes. The configuration (including
 // Shards) must match the writer's.
@@ -430,7 +430,7 @@ func ResumeDiscoverShardedFT(state []byte, src pg.ErrSource, cfg Config, opts FT
 }
 
 // runShardedFT drives a fault-tolerant sharded drain: router on the calling
-// goroutine, one DrainFT per shard, PGCK6 checkpoints through the
+// goroutine, one DrainFT per shard, PGCK8 checkpoints through the
 // coordinator, then merge + finalize.
 func runShardedFT(pipes []*Pipeline, shardSlots []int, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
 	start := time.Now()

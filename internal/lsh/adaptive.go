@@ -64,9 +64,49 @@ func SampleIndexes(population int, seed int64) []int {
 //
 //	µ     = average Euclidean distance over sampled pairs,
 //	b_base = 1.2·µ,  b = b_base·α,
-//	T = b_base · max(floor, α·min(cap, log10 N)), clamped to [5, 50].
+//	T = b_base · max(floor, α·min(cap, log10 N)), clamped to [15, 35].
 func AdaptParams(sample [][]float64, population int, labelCount int, isEdge bool, seed int64) Params {
-	mu := pairDistanceScale(sample, seed)
+	return paramsFromScale(pairDistanceScale(sample, seed), population, labelCount, isEdge)
+}
+
+// AdaptParamsRecords is AdaptParams over a sample given in record form:
+// distinct holds one vector per distinct record and rec[k] names the record
+// of sample element k, so the expanded sample is distinct[rec[k]]. Batches
+// of one stream hold few distinct records, so the many repeated pairs are
+// served from a per-record-pair memo instead of recomputed. It returns
+// exactly what AdaptParams returns on the expanded sample: the pairs are
+// drawn from the same seeded rng and summed in the same order, and
+// EuclideanDistance is a deterministic, symmetric function of its two
+// vectors, so every memoized term has the bits a fresh evaluation would.
+func AdaptParamsRecords(distinct [][]float64, rec []int, population int, labelCount int, isEdge bool, seed int64) Params {
+	n, r := len(rec), len(distinct)
+	dist := func(i, j int) float64 { return EuclideanDistance(distinct[rec[i]], distinct[rec[j]]) }
+	// The dense r×r memo pays off only while it has no more cells than
+	// there are pair evaluations to serve; past that (many distinct records,
+	// as under heavy noise) distances are computed straight from the
+	// distinct vectors.
+	if n >= 2 && r*r <= pairEvaluations(n) {
+		memo := make([]float64, r*r)
+		for k := range memo {
+			memo[k] = -1
+		}
+		dist = func(i, j int) float64 {
+			a, b := rec[i], rec[j]
+			cell := a*r + b
+			if d := memo[cell]; d >= 0 {
+				return d
+			}
+			d := EuclideanDistance(distinct[a], distinct[b])
+			memo[cell], memo[b*r+a] = d, d
+			return d
+		}
+	}
+	return paramsFromScale(meanPairDistance(n, seed, dist), population, labelCount, isEdge)
+}
+
+// paramsFromScale derives the LSH parameters from the distance scale µ by
+// the formulas documented on AdaptParams.
+func paramsFromScale(mu float64, population int, labelCount int, isEdge bool) Params {
 	bBase := 1.2 * mu
 	if bBase <= 0 {
 		// Degenerate batch (all vectors identical or < 2 elements): any
@@ -138,33 +178,51 @@ const (
 	maxPairs    = 20_000 // distance evaluations, not all O(S²) pairs
 )
 
-// pairDistanceScale estimates µ, the average pairwise Euclidean distance
-// over the sample, evaluating at most maxPairs random pairs.
-func pairDistanceScale(sample [][]float64, seed int64) float64 {
-	n := len(sample)
+// pairEvaluations returns how many distances meanPairDistance evaluates
+// for a sample of n elements: every pair when there are at most maxPairs,
+// else maxPairs random ones.
+func pairEvaluations(n int) int {
 	if n < 2 {
 		return 0
 	}
-	rng := rand.New(rand.NewSource(seed))
-	allPairs := n * (n - 1) / 2
+	if all := n * (n - 1) / 2; all <= maxPairs {
+		return all
+	}
+	return maxPairs
+}
+
+// pairDistanceScale estimates µ, the average pairwise Euclidean distance
+// over the sample, evaluating at most maxPairs random pairs.
+func pairDistanceScale(sample [][]float64, seed int64) float64 {
+	return meanPairDistance(len(sample), seed, func(i, j int) float64 {
+		return EuclideanDistance(sample[i], sample[j])
+	})
+}
+
+// meanPairDistance averages dist(i, j) over pairs of a sample of n
+// elements: every pair when there are at most maxPairs, else maxPairs pairs
+// drawn from an rng seeded with seed (built only on that branch).
+func meanPairDistance(n int, seed int64, dist func(i, j int) float64) float64 {
+	count := pairEvaluations(n)
+	if count == 0 {
+		return 0
+	}
 	var sum float64
-	count := 0
-	if allPairs <= maxPairs {
+	if count == n*(n-1)/2 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				sum += EuclideanDistance(sample[i], sample[j])
-				count++
+				sum += dist(i, j)
 			}
 		}
 	} else {
-		for k := 0; k < maxPairs; k++ {
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < count; k++ {
 			i := rng.Intn(n)
 			j := rng.Intn(n - 1)
 			if j >= i {
 				j++
 			}
-			sum += EuclideanDistance(sample[i], sample[j])
-			count++
+			sum += dist(i, j)
 		}
 	}
 	return sum / float64(count)

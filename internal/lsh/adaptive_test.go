@@ -194,3 +194,53 @@ func TestGroupByKeys(t *testing.T) {
 		t.Errorf("cluster 0 members = %v, want [0 2 5]", got)
 	}
 }
+
+// TestAdaptParamsRecordsMatchesExpanded: the record form returns exactly
+// what AdaptParams returns on the expanded sample, bit for bit, on both µ
+// estimators and on both sides of the memo-table rule.
+func TestAdaptParamsRecordsMatchesExpanded(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n, r     int // sample size, distinct records
+		memoized bool
+	}{
+		{"empty", 0, 0, false},
+		{"single", 1, 1, false},
+		{"one-record", 500, 1, true}, // µ = 0: degenerate bBase = 1
+		{"all-pairs", 150, 12, true},
+		{"all-pairs-distinct", 150, 150, false},
+		{"sampled-pairs", 3000, 40, true},
+		{"sampled-distinct", 400, 400, false},
+		{"duplicate-heavy", 5000, 7, true},
+	} {
+		distinct := randomVectors(tc.r, 9, 2, int64(tc.r+1))
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		rec := make([]int, tc.n)
+		sample := make([][]float64, tc.n)
+		for k := range rec {
+			// Cover every record when all are distinct; skew toward low ids
+			// otherwise, so the duplicate mix is uneven.
+			rec[k] = k
+			if tc.r < tc.n {
+				rec[k] = rng.Intn(rng.Intn(tc.r) + 1)
+			}
+			sample[k] = append([]float64(nil), distinct[rec[k]]...)
+		}
+		if got := tc.n >= 2 && tc.r*tc.r <= pairEvaluations(tc.n); got != tc.memoized {
+			t.Fatalf("%s: memo table used = %t, want %t", tc.name, got, tc.memoized)
+		}
+		for _, isEdge := range []bool{false, true} {
+			want := AdaptParams(sample, tc.n*3, 6, isEdge, 17)
+			got := AdaptParamsRecords(distinct, rec, tc.n*3, 6, isEdge, 17)
+			if math.Float64bits(got.Mu) != math.Float64bits(want.Mu) ||
+				math.Float64bits(got.BBase) != math.Float64bits(want.BBase) ||
+				math.Float64bits(got.Bucket) != math.Float64bits(want.Bucket) ||
+				got.Tables != want.Tables || got.Alpha != want.Alpha {
+				t.Errorf("%s edge=%t: record form %+v, expanded %+v", tc.name, isEdge, got, want)
+			}
+			if tc.r == 1 && (got.Mu != 0 || got.BBase != 1) {
+				t.Errorf("%s edge=%t: µ = %v, bBase = %v; want 0 and the degenerate 1", tc.name, isEdge, got.Mu, got.BBase)
+			}
+		}
+	}
+}
