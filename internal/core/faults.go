@@ -48,7 +48,9 @@ type FTOptions struct {
 const DefaultMaxTransient = 100
 
 // Checkpointer persists encoded checkpoints. Save is called from the extract
-// stage, strictly in batch order.
+// stage, strictly in batch order. state is valid only until Save returns:
+// the engine reuses its encode buffer for the next checkpoint, so an
+// implementation that keeps the bytes must copy them.
 type Checkpointer interface {
 	Save(state []byte) error
 }
@@ -184,9 +186,10 @@ func (p *Pipeline) DrainFT(src pg.ErrSource, opts FTOptions) ([]SkipReport, erro
 	// batch order. The slot position and quarantine list are the ones
 	// stamped when the batch was pulled — quarantines discovered after it
 	// belong to the next checkpoint.
+	var buf bytes.Buffer // reused across saves (see Checkpointer)
 	save := func(snap []byte, slotAfter int, skipped []SkipReport) error {
 		start := time.Now()
-		var buf bytes.Buffer
+		buf.Reset()
 		if err := p.encodeCheckpoint(&buf, slotAfter, skipped, snap); err != nil {
 			return fmt.Errorf("core: encode checkpoint: %w", err)
 		}

@@ -224,7 +224,7 @@ func encodeShardContainer(w *bytes.Buffer, cfg Config, slots int, skipped []Skip
 		bw.String(s.Reason)
 	}
 	for _, st := range states {
-		bw.String(string(st))
+		bw.Bytes(st)
 	}
 	return bw.Flush()
 }
@@ -294,6 +294,9 @@ type shardCoordinator struct {
 	states  [][]byte
 	slots   int
 	skipped []SkipReport
+	// buf holds the container being written; reused across saves, which
+	// the Checkpointer contract allows.
+	buf bytes.Buffer
 }
 
 // position records the router's stream progress (called before the slot's
@@ -309,12 +312,12 @@ func (co *shardCoordinator) position(slots int, skipped []SkipReport) {
 func (co *shardCoordinator) save(shard int, state []byte) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.states[shard] = append([]byte(nil), state...)
-	var buf bytes.Buffer
-	if err := encodeShardContainer(&buf, co.cfg, co.slots, co.skipped, co.states); err != nil {
+	co.states[shard] = append(co.states[shard][:0], state...)
+	co.buf.Reset()
+	if err := encodeShardContainer(&co.buf, co.cfg, co.slots, co.skipped, co.states); err != nil {
 		return fmt.Errorf("core: encode shard container: %w", err)
 	}
-	return co.ck.Save(buf.Bytes())
+	return co.ck.Save(co.buf.Bytes())
 }
 
 // shardSaver is shard i's Checkpointer view of the coordinator.

@@ -384,18 +384,65 @@ func FuzzShardedCheckpoint(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte(shardCheckpointMagic))
 	f.Add([]byte{})
+	sketched := sketchedRampConfig(2)
+	f.Add(sketchedFleetContainer(f, sketched))
+	cfgs := []Config{cfg, sketched}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sections, _, _, err := decodeShardContainer(data, cfg)
-		if err != nil {
-			return
-		}
-		if len(sections) != cfg.Shards {
-			t.Fatalf("accepted container with %d sections for %d shards", len(sections), cfg.Shards)
-		}
-		for i, sec := range sections {
-			if _, _, _, err := ResumePipeline(bytes.NewReader(sec), shardConfig(cfg, i)); err != nil {
-				return // a corrupt section is fine as long as it errors
+		for _, cfg := range cfgs {
+			sections, _, _, err := decodeShardContainer(data, cfg)
+			if err != nil {
+				continue
+			}
+			if len(sections) != cfg.Shards {
+				t.Fatalf("accepted container with %d sections for %d shards", len(sections), cfg.Shards)
+			}
+			for i, sec := range sections {
+				if _, _, _, err := ResumePipeline(bytes.NewReader(sec), shardConfig(cfg, i)); err != nil {
+					break // a corrupt section is fine as long as it errors
+				}
 			}
 		}
 	})
+}
+
+// sketchedFleetContainer returns a real mid-stream fleet container whose
+// sections carry every sketch: the coordinator's last save over the first
+// two noise-ramp batches at 6,000 nodes each — the smallest such prefix
+// whose value evidence spills from the exact window into the HLL in some
+// shard — under cfg's 8 MiB budget, so degree tables are count-min
+// sketched, and drift evolve, so the drift section is present. Mutating it
+// exercises the sketch, HLL and drift decoders, which a fresh pipeline's
+// container never reaches.
+func sketchedFleetContainer(tb testing.TB, cfg Config) []byte {
+	tb.Helper()
+	var last []byte
+	ck := saveFunc(func(state []byte) error {
+		last = append(last[:0], state...)
+		return nil
+	})
+	src := pg.AsErrSource(pg.NewSliceSource(rampBatches(6000, 7)[:2]...))
+	if _, err := DiscoverShardedFT(src, cfg, FTOptions{Checkpoint: ck}); err != nil {
+		tb.Fatal(err)
+	}
+	schemas, err := DecodeCheckpointSchemas(last, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spilled, edges := false, 0
+	for _, s := range schemas {
+		edges += len(s.Types(schema.EdgeKind))
+		for _, k := range []schema.ElementKind{schema.NodeKind, schema.EdgeKind} {
+			for _, ty := range s.Types(k) {
+				ty.EachProp(func(_ string, p *schema.PropStat) {
+					// More distinct values than the exact window holds:
+					// the estimate comes from the HLL.
+					spilled = spilled || p.Values.DistinctEstimate() > schema.DefaultDupFrontCap
+				})
+			}
+		}
+	}
+	if !spilled || edges == 0 || !cfg.evidencePolicy().SketchDegrees {
+		tb.Fatalf("seed container lacks sketch sections: spilled values %t, %d edge types", spilled, edges)
+	}
+	return last
 }

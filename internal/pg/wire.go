@@ -30,18 +30,40 @@ func NewWireWriter(w io.Writer) *WireWriter {
 	return &WireWriter{bw: bufio.NewWriter(w)}
 }
 
+// spare returns the writer's free buffer tail as an empty slice with room
+// for at least n bytes, flushing first when less is left. Primitives append
+// into it and hand it back to Write, which then only advances the buffer:
+// no scratch array escapes to the heap, so encoding allocates nothing.
+func (w *WireWriter) spare(n int) []byte {
+	if w.bw.Available() < n {
+		w.bw.Flush() //nolint:errcheck // sticky; surfaces at Flush
+	}
+	return w.bw.AvailableBuffer()
+}
+
 // Uvarint writes an unsigned varint.
 func (w *WireWriter) Uvarint(x uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], x)
-	w.bw.Write(buf[:n]) //nolint:errcheck // surfaces at Flush
+	w.bw.Write(binary.AppendUvarint(w.spare(binary.MaxVarintLen64), x)) //nolint:errcheck // surfaces at Flush
+}
+
+// Uvarint32s writes each value of xs as an unsigned varint — the same bytes
+// as one Uvarint call per value, packed straight into the buffer and handed
+// over only when it runs low.
+func (w *WireWriter) Uvarint32s(xs []uint32) {
+	buf := w.bw.AvailableBuffer()
+	for _, x := range xs {
+		if cap(buf)-len(buf) < binary.MaxVarintLen32 {
+			w.bw.Write(buf) //nolint:errcheck
+			buf = w.spare(binary.MaxVarintLen32)
+		}
+		buf = binary.AppendUvarint(buf, uint64(x))
+	}
+	w.bw.Write(buf) //nolint:errcheck
 }
 
 // Varint writes a signed varint.
 func (w *WireWriter) Varint(x int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], x)
-	w.bw.Write(buf[:n]) //nolint:errcheck
+	w.bw.Write(binary.AppendVarint(w.spare(binary.MaxVarintLen64), x)) //nolint:errcheck
 }
 
 // Byte writes one byte.
@@ -60,15 +82,20 @@ func (w *WireWriter) Bool(v bool) {
 
 // Float64 writes a little-endian IEEE-754 double.
 func (w *WireWriter) Float64(f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	w.bw.Write(buf[:]) //nolint:errcheck
+	w.bw.Write(binary.LittleEndian.AppendUint64(w.spare(8), math.Float64bits(f))) //nolint:errcheck
 }
 
 // String writes a length-prefixed string.
 func (w *WireWriter) String(s string) {
 	w.Uvarint(uint64(len(s)))
 	w.bw.WriteString(s) //nolint:errcheck
+}
+
+// Bytes writes a length-prefixed payload, encoded exactly like String, so
+// a byte slice goes out without a string copy.
+func (w *WireWriter) Bytes(p []byte) {
+	w.Uvarint(uint64(len(p)))
+	w.bw.Write(p) //nolint:errcheck
 }
 
 // Raw writes the magic or other pre-formatted bytes verbatim.
@@ -178,13 +205,14 @@ func (r *WireReader) Bool() (bool, error) {
 	return b != 0, err
 }
 
-// Float64 reads a little-endian IEEE-754 double.
+// Float64 reads a little-endian IEEE-754 double, staged through the scratch
+// buffer so the read allocates nothing.
 func (r *WireReader) Float64() (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r.br, buf[:]); err != nil {
+	buf := r.scratchFor(8)
+	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
 }
 
 // String reads a length-prefixed string (length capped at 1 GiB). The

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pghive/internal/pg"
@@ -373,7 +374,7 @@ func writeHashSet(w *pg.WireWriter, set map[uint64]struct{}) {
 	for h := range set {
 		hashes = append(hashes, h)
 	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+	slices.Sort(hashes)
 	w.Uvarint(uint64(len(hashes)))
 	for _, h := range hashes {
 		w.Uvarint(h)

@@ -152,9 +152,7 @@ func (c *CountMin) MemBytes() int { return len(c.rows)*4 + 16 }
 func (c *CountMin) Write(w *pg.WireWriter) {
 	w.Byte(c.logW)
 	w.Byte(c.depth)
-	for _, v := range c.rows {
-		w.Uvarint(uint64(v))
-	}
+	w.Uvarint32s(c.rows)
 }
 
 // ReadCountMin decodes a sketch written by Write.

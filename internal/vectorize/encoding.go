@@ -246,6 +246,11 @@ func (e *Encoding) AppendRecordKey(dst []byte, i int) []byte {
 	return dst
 }
 
+// distinctRecordsHint presizes DistinctRecords' memo map. A clean batch
+// holds a few dozen distinct records per kind whatever its size, so the
+// hint is fixed and a noisy batch's map simply grows.
+const distinctRecordsHint = 32
+
 // DistinctRecords deduplicates the encoding's records: recID maps every
 // element to its distinct-record id, and reps holds one representative
 // element index per distinct record, in first-appearance order. Signatures
@@ -253,7 +258,7 @@ func (e *Encoding) AppendRecordKey(dst []byte, i int) []byte {
 // and therefore a record.
 func (e *Encoding) DistinctRecords() (recID []int, reps []int) {
 	recID = make([]int, len(e.Records))
-	memo := make(map[string]int, len(e.Records)/4+1)
+	memo := make(map[string]int, distinctRecordsHint)
 	var key []byte
 	for i := range e.Records {
 		key = e.AppendRecordKey(key[:0], i)

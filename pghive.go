@@ -182,7 +182,9 @@ type (
 	FTOptions = core.FTOptions
 	// SkipReport records one quarantined batch.
 	SkipReport = core.SkipReport
-	// Checkpointer persists per-batch pipeline checkpoints.
+	// Checkpointer persists per-batch pipeline checkpoints. The state
+	// passed to Save is valid only until Save returns; an implementation
+	// that keeps it must copy it.
 	Checkpointer = core.Checkpointer
 	// FileCheckpointer writes checkpoints atomically to one file.
 	FileCheckpointer = core.FileCheckpointer
