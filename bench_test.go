@@ -104,7 +104,7 @@ func benchmarkDiscover(b *testing.B, dataset string, method pghive.Method) {
 }
 
 // latentSource simulates a batch source with per-batch load latency (disk
-// read, network fetch, parse) — the case the engine's prefetch stage hides.
+// read, network fetch, parse).
 type latentSource struct {
 	batches []*pghive.Batch
 	latency time.Duration
@@ -121,17 +121,16 @@ func (s *latentSource) Next() *pghive.Batch {
 	return b
 }
 
-// BenchmarkDiscover contrasts the serial engine (PipelineDepth=1, legacy
-// per-record vector allocation) with the overlapped engine (default depth,
-// prefetch + stage overlap + arena vectors) on a multi-batch stream. Both
-// produce byte-identical schemas; see internal/core/engine_test.go.
+// BenchmarkDiscover contrasts the serial engine (PipelineDepth=1) with the
+// overlapped engine (default depth, stage overlap) on a multi-batch stream.
+// Both produce byte-identical schemas; see internal/core/engine_test.go.
 //
 // The mem scenario streams from memory: overlapping compute with compute
-// needs spare cores, so the win there scales with GOMAXPROCS; the alloc
-// reduction from the arena shows at any core count. The io scenario adds
-// per-batch source latency comparable to one batch's compute: the serial
-// engine pays load + compute in sequence, the overlapped engine hides the
-// loads behind compute even on a single core.
+// needs spare cores, so the win there scales with GOMAXPROCS. The io
+// scenario adds per-batch source latency comparable to one batch's
+// compute: the serial engine pays load + compute in sequence, the
+// overlapped engine overlaps each load with the clustering and extraction
+// of earlier batches (the load itself shares the preprocess goroutine).
 func BenchmarkDiscover(b *testing.B) {
 	ds := benchDataset("LDBC", 2500)
 	batches := ds.Graph.SplitRandom(8, 1)
@@ -179,10 +178,11 @@ func (m *memCheckpointer) Save(state []byte) error {
 }
 
 // BenchmarkDiscoverFaults measures the cost of the fault-tolerance layer on
-// an 8-batch stream: the FT drain loop itself (clean), seeded transient
-// faults absorbed by retry with backoff computed but not slept (fault10/50),
-// and per-batch checkpointing of the full pipeline state (checkpoint).
-// Every scenario must finalize the same schema as the plain engine; the
+// an 8-batch stream: the fallible-source entry point itself (clean), seeded
+// transient faults absorbed by retry with backoff computed but not slept
+// (fault10/50), and per-batch checkpointing of the full pipeline state
+// (checkpoint). Every scenario must finalize the same schema as
+// DiscoverStream; the
 // identity sweep lives in internal/bench (pghive-bench -exp faults).
 func BenchmarkDiscoverFaults(b *testing.B) {
 	ds := benchDataset("LDBC", 2500)
@@ -215,7 +215,7 @@ func BenchmarkDiscoverFaults(b *testing.B) {
 				if scenario.checkpoint {
 					opts.Checkpoint = &memCheckpointer{}
 				}
-				res, err := pghive.DiscoverStreamFT(src, cfg, opts)
+				res, err := pghive.DiscoverShardedFT(src, cfg, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

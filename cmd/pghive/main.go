@@ -46,7 +46,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		depth     = flag.Int("pipeline-depth", 0, "execution engine depth: 1 = serial, >1 = overlapped batches (0 = default)")
 		shards    = flag.Int("shards", 0, "partition the stream across N concurrent discovery pipelines and merge their schemas (0/1 = single pipeline, byte-identical to serial)")
-		denseSigs = flag.Bool("dense-signatures", false, "use the dense reference signature kernels instead of the factored sparse ones (identical output, for A/B timing)")
 		retry     = flag.Int("retry", 0, "retry transient source faults up to this many attempts per batch (0 = fail fast)")
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file: save pipeline state after every batch; resume from it when it already exists")
 		faultRate = flag.Float64("fault-rate", 0, "inject seeded transient faults at this per-attempt probability (exercises -retry)")
@@ -110,7 +109,6 @@ func main() {
 	cfg.Shards = *shards
 	cfg.MemBudgetBytes = int64(*memBudget) << 20
 	cfg.ExactEvidence = *exactEv
-	cfg.DenseSignatures = *denseSigs
 	cfg.Telemetry = pghive.TelemetryMulti(sinks...)
 	cfg.DriftPolicy, err = pghive.ParseDriftPolicy(*driftPol)
 	if err != nil {
@@ -148,14 +146,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	case *retry > 0 || *ckptPath != "" || *faultRate > 0:
+	case *batches > 1 || cfg.Shards > 1 || *retry > 0 || *ckptPath != "" || *faultRate > 0:
 		src := pghive.AsErrSource(pghive.NewSliceSource(g.SplitRandom(max(*batches, 1), *seed)...))
 		result, err = discoverFT(src, cfg, *seed, *retry, *ckptPath, *faultRate)
 		if err != nil {
 			fatal(err)
 		}
-	case *batches > 1 || cfg.Shards > 1:
-		result = pghive.DiscoverSharded(pghive.NewSliceSource(g.SplitRandom(max(*batches, 1), *seed)...), cfg)
 	default:
 		result = pghive.Discover(g, cfg)
 	}
@@ -211,11 +207,13 @@ func main() {
 	}
 }
 
-// discoverFT runs discovery through the fault-tolerant path: the batch
-// stream is treated as fallible, transient faults are retried with backoff,
-// poisoned batches are quarantined, and — with -checkpoint — the pipeline
-// state is persisted after every batch so a killed run resumes where it
-// stopped (the finalized schema is byte-identical to an uninterrupted run).
+// discoverFT runs batched or sharded discovery through the fault-tolerant
+// path: the batch stream is treated as fallible, transient faults are
+// retried with backoff (-retry), poisoned batches are quarantined, and —
+// with -checkpoint — the pipeline state is persisted after every batch so a
+// killed run resumes where it stopped (the finalized schema is
+// byte-identical to an uninterrupted run). With none of those flags it is
+// plain DiscoverSharded.
 func discoverFT(src pghive.ErrSource, cfg pghive.Config, seed int64, retry int, ckptPath string, faultRate float64) (*pghive.Result, error) {
 	if faultRate > 0 {
 		src = pghive.NewFaultSource(src, pghive.FaultProfile{TransientRate: faultRate, Seed: seed})

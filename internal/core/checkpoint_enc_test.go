@@ -114,7 +114,7 @@ func TestCheckpointEncodeDecodeFixedPoint(t *testing.T) {
 		cfg := sketchedRampConfig(1)
 		saves := 0
 		ck := fixedPointSaver(&saves, func(state []byte) ([]byte, error) { return reencodeCheckpoint(state, cfg) })
-		if _, err := DiscoverFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck}); err != nil {
+		if _, err := DiscoverShardedFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck}); err != nil {
 			t.Fatal(err)
 		}
 		if saves != len(batches) {
@@ -131,7 +131,9 @@ func sketchedPipeline(tb testing.TB, budget int64) *Pipeline {
 	cfg.MemBudgetBytes = budget
 	cfg.PipelineDepth = 1
 	p := NewPipeline(cfg)
-	p.Drain(pg.NewSliceSource(rampBatches(250, 7)[:4]...))
+	if _, err := p.DrainFT(pg.AsErrSource(pg.NewSliceSource(rampBatches(250, 7)[:4]...)), FTOptions{}); err != nil {
+		tb.Fatal(err)
+	}
 	return p
 }
 

@@ -181,15 +181,14 @@ type Config struct {
 	// driftShard tags this pipeline's drift-log records with its shard index
 	// (set by shardConfig; 0 for unsharded runs).
 	driftShard int
-	// PipelineDepth controls the overlapped batch execution engine used by
-	// Discover/Drain. Values > 1 allow that many batches in flight at once:
-	// a prefetch goroutine keeps the next batch loaded while the current
-	// one computes, preprocessing and LSH clustering of batch i+1 overlap
-	// candidate-building/extraction of batch i, and node and edge
-	// clustering of the same batch run concurrently. Extraction into the
-	// shared schema stays serialized in batch order, so the finalized
-	// schema is byte-identical to a serial run with the same seed (the
-	// monotone guarantee S_i ⊑ S_{i+1} is scheduling-independent).
+	// PipelineDepth controls the overlapped batch execution engine
+	// (DrainFT, behind every Discover entry point). Values > 1 allow that
+	// many batches in flight at once: loading, preprocessing and LSH
+	// clustering of batch i+1 overlap candidate-building/extraction of
+	// batch i. Extraction into the shared schema stays serialized in batch
+	// order, so the finalized schema is byte-identical to a serial run with
+	// the same seed (the monotone guarantee S_i ⊑ S_{i+1} is
+	// scheduling-independent).
 	// 1 forces the fully serial path; 0 means DefaultPipelineDepth.
 	PipelineDepth int
 	// Seed drives all randomness.

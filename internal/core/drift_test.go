@@ -297,7 +297,7 @@ func TestDriftCrashResumeQuarantine(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DriftPolicy = DriftQuarantine
 	cfg.EpochInterval = 3
-	uninterrupted, err := DiscoverFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{})
+	uninterrupted, err := DiscoverShardedFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +310,14 @@ func TestDriftCrashResumeQuarantine(t *testing.T) {
 			ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "drift.ck")}
 			crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 				pg.FaultProfile{FailAfter: kill, Seed: 1})
-			if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+			if _, err := DiscoverShardedFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 				t.Fatalf("kill=%d depth=%d: want permanent fault, got %v", kill, depth, err)
 			}
 			state, ok, err := ck.Load()
 			if err != nil || !ok {
 				t.Fatalf("kill=%d depth=%d: checkpoint load: ok=%t err=%v", kill, depth, ok, err)
 			}
-			res, err := ResumeDiscoverFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck})
+			res, err := ResumeDiscoverShardedFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck})
 			if err != nil {
 				t.Fatalf("kill=%d depth=%d: resume: %v", kill, depth, err)
 			}

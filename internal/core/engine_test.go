@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -151,7 +152,7 @@ func TestPipelineDepthDefaultApplied(t *testing.T) {
 }
 
 // TestDrainSingleBatch exercises the engine with exactly one batch (the
-// DiscoverGraph path) and with an exhausted source.
+// DiscoverGraph path) and DrainFT with an exhausted source.
 func TestDrainSingleBatch(t *testing.T) {
 	g := engineGraph(t, 50)
 	cfg := DefaultConfig()
@@ -161,14 +162,17 @@ func TestDrainSingleBatch(t *testing.T) {
 		t.Fatalf("single-batch engine run: %d types, %d reports", len(res.Def.Nodes), len(res.Reports))
 	}
 	p := NewPipeline(cfg)
-	p.Drain(pg.NewSliceSource())
-	if len(p.Reports()) != 0 {
+	skipped, err := p.DrainFT(pg.AsErrSource(pg.NewSliceSource()), FTOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Reports()) != 0 || len(skipped) != 0 {
 		t.Error("draining an empty source should process nothing")
 	}
 }
 
 // TestProcessBatchInterchangeableWithDrain: feeding batches one at a time
-// through ProcessBatch equals a serial Drain over the same source.
+// through ProcessBatch equals a serial DrainFT over the same source.
 func TestProcessBatchInterchangeableWithDrain(t *testing.T) {
 	g := engineGraph(t, 200)
 	batches := g.SplitRandom(4, 9)
@@ -180,7 +184,51 @@ func TestProcessBatchInterchangeableWithDrain(t *testing.T) {
 		byHand.ProcessBatch(b)
 	}
 	drained := NewPipeline(cfg)
-	drained.Drain(pg.NewSliceSource(batches...))
+	if _, err := drained.DrainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), FTOptions{}); err != nil {
+		t.Fatal(err)
+	}
 
 	defsEqual(t, "processbatch-vs-drain", byHand.Finalize(), drained.Finalize())
+}
+
+// TestDrainFTAfterDriftQuarantine: DrainFT on a pipeline that has already
+// drift-quarantined batches extracts every following batch, at depth 1 and
+// overlapped, exactly as a ProcessBatch-only pipeline does. A quarantined
+// batch consumes a sequence number but leaves no report, so the overlapped
+// extract stage must seed its reorder counter from the same base as the
+// preprocess stage; otherwise the tail waits for a sequence number that
+// never arrives and is silently dropped.
+func TestDrainFTAfterDriftQuarantine(t *testing.T) {
+	head, tail := driftStream(6, 3), driftStream(3, 0)
+	feed := func(depth int) *Pipeline {
+		cfg := DefaultConfig()
+		cfg.DriftPolicy = DriftQuarantine
+		cfg.EpochInterval = 3
+		cfg.PipelineDepth = depth
+		p := NewPipeline(cfg)
+		for _, b := range head {
+			p.ProcessBatch(b)
+		}
+		if q := p.drift.quarantined; q != 3 {
+			t.Fatalf("depth=%d: head quarantined %d batches, want 3", depth, q)
+		}
+		return p
+	}
+	byHand := feed(1)
+	for _, b := range tail {
+		byHand.ProcessBatch(b)
+	}
+	wantReports := len(byHand.Reports())
+	wantDef := byHand.Finalize()
+
+	for _, depth := range []int{1, 4} {
+		p := feed(depth)
+		if _, err := p.DrainFT(pg.AsErrSource(pg.NewSliceSource(tail...)), FTOptions{}); err != nil {
+			t.Fatalf("depth=%d: %v", depth, err)
+		}
+		if got := len(p.Reports()); got != wantReports {
+			t.Errorf("depth=%d: %d reports, want %d (tail batches dropped)", depth, got, wantReports)
+		}
+		defsEqual(t, fmt.Sprintf("depth=%d", depth), wantDef, p.Finalize())
+	}
 }

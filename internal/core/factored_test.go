@@ -165,7 +165,7 @@ func TestResumeAcrossKernels(t *testing.T) {
 		ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "run.ck")}
 		crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 			pg.FaultProfile{FailAfter: 3, Seed: 1})
-		if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+		if _, err := DiscoverShardedFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 			t.Fatalf("%s: want permanent fault, got %v", flip.name, err)
 		}
 
@@ -174,7 +174,7 @@ func TestResumeAcrossKernels(t *testing.T) {
 			t.Fatalf("%s: no checkpoint after crash: ok=%t err=%v", flip.name, ok, err)
 		}
 		cfg.DenseSignatures = flip.reader
-		res, err := ResumeDiscoverFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck})
+		res, err := ResumeDiscoverShardedFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck})
 		if err != nil {
 			t.Fatalf("%s: resume: %v", flip.name, err)
 		}

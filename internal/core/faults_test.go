@@ -46,7 +46,7 @@ func TestDiscoverFTMatchesDiscover(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PipelineDepth = depth
 		want := Discover(pg.NewSliceSource(batches...), cfg)
-		got, err := DiscoverFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{})
+		got, err := DiscoverShardedFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{})
 		if err != nil {
 			t.Fatalf("depth=%d: %v", depth, err)
 		}
@@ -78,7 +78,7 @@ func TestDiscoverFTTransientIdentity(t *testing.T) {
 				if withRetry {
 					src = pg.NewRetrySource(src, pg.RetryPolicy{Sleep: noSleep})
 				}
-				res, err := DiscoverFT(src, cfg, FTOptions{})
+				res, err := DiscoverShardedFT(src, cfg, FTOptions{})
 				if err != nil {
 					t.Fatalf("%v depth=%d retry=%t: %v", m, depth, withRetry, err)
 				}
@@ -108,7 +108,7 @@ func TestDiscoverFTQuarantinesCorrupt(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PipelineDepth = depth
 		src := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
-		res, err := DiscoverFT(src, cfg, FTOptions{})
+		res, err := DiscoverShardedFT(src, cfg, FTOptions{})
 		if err != nil {
 			t.Fatalf("depth=%d: %v", depth, err)
 		}
@@ -171,7 +171,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 			if kill == 0 {
 				crash = errSourceFunc(func() (*pg.Batch, error) { return nil, pg.ErrPermanentFault })
 			}
-			if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+			if _, err := DiscoverShardedFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 				t.Fatalf("depth=%d kill=%d: want permanent fault, got %v", depth, kill, err)
 			}
 
@@ -187,9 +187,9 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 			replay := pg.AsErrSource(pg.NewSliceSource(batches...))
 			var res *Result
 			if ok {
-				res, err = ResumeDiscoverFT(state, replay, cfg, FTOptions{Checkpoint: ck})
+				res, err = ResumeDiscoverShardedFT(state, replay, cfg, FTOptions{Checkpoint: ck})
 			} else {
-				res, err = DiscoverFT(replay, cfg, FTOptions{Checkpoint: ck})
+				res, err = DiscoverShardedFT(replay, cfg, FTOptions{Checkpoint: ck})
 			}
 			if err != nil {
 				t.Fatalf("depth=%d kill=%d: resume: %v", depth, kill, err)
@@ -217,7 +217,7 @@ func TestCrashResumeWithCorruption(t *testing.T) {
 	cfg := DefaultConfig()
 	profile := pg.FaultProfile{CorruptRate: 0.3, Seed: 9}
 
-	uninterrupted, err := DiscoverFT(
+	uninterrupted, err := DiscoverShardedFT(
 		pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile), cfg, FTOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestCrashResumeWithCorruption(t *testing.T) {
 	crashProfile := profile
 	crashProfile.FailAfter = 3 // dies after 3 pulled batches (delivered or quarantined)
 	crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), crashProfile)
-	if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+	if _, err := DiscoverShardedFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 		t.Fatalf("want permanent fault, got %v", err)
 	}
 
@@ -237,7 +237,7 @@ func TestCrashResumeWithCorruption(t *testing.T) {
 		t.Fatalf("no checkpoint after crash: ok=%t err=%v", ok, err)
 	}
 	replay := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
-	res, err := ResumeDiscoverFT(state, replay, cfg, FTOptions{Checkpoint: ck})
+	res, err := ResumeDiscoverShardedFT(state, replay, cfg, FTOptions{Checkpoint: ck})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -24,8 +24,8 @@ type BatchReport struct {
 	EdgeClusters int
 	NodeParams   lsh.Params
 	EdgeParams   lsh.Params
-	// Load is the time spent pulling this batch from the source (under the
-	// overlapped engine: the stall waiting on the prefetcher).
+	// Load is the time spent pulling this batch from the source, including
+	// retried transient faults.
 	Load       time.Duration
 	Preprocess time.Duration
 	Cluster    time.Duration
@@ -173,10 +173,10 @@ func (p *Pipeline) slot(seq int) int {
 // ProcessBatch runs the main pipeline of Algorithm 1 (lines 3-6) on one
 // batch: preprocess into vectors/sets, LSH-cluster nodes and edges, build
 // cluster representatives, and merge them into the schema via Algorithm 2.
-// Stages run serially; Drain overlaps them across batches when
+// Batches run one at a time; DrainFT overlaps them across batches when
 // Config.PipelineDepth > 1.
 func (p *Pipeline) ProcessBatch(b *pg.Batch) BatchReport {
-	return p.processSerial(b, p.nextSeq(), 0)
+	return p.extractChecked(p.clusterStage(p.preprocess(b, p.nextSeq())), -1)
 }
 
 // nextSeq is the next batch sequence number for serial feeding: processed
@@ -188,31 +188,6 @@ func (p *Pipeline) nextSeq() int {
 		n += p.drift.quarantined
 	}
 	return n
-}
-
-// processSerial is ProcessBatch with the sequence number and the
-// already-measured load time threaded through (Drain's serial path measures
-// the source pull and tracks sequence numbers across quarantined batches).
-func (p *Pipeline) processSerial(b *pg.Batch, seq int, load time.Duration) BatchReport {
-	st := p.preprocess(b, seq)
-	st.report.Load = load
-	return p.extractChecked(p.clusterSerial(st), -1)
-}
-
-// clusterSerial runs the cluster stage for one staged batch on the calling
-// goroutine, node kind then edge kind — the strictly serial counterpart of
-// the engine's clusterStage (which see), shared by ProcessBatch and the
-// depth-1 DrainFT path.
-func (p *Pipeline) clusterSerial(st staged) computed {
-	c := computed{seq: st.seq, b: st.b, start: st.start, report: st.report}
-	start := time.Now()
-	c.nodeClusters, c.report.NodeParams = p.clusterKind(nodeSpec(st.b, st.vz), false)
-	c.edgeClusters, c.report.EdgeParams = p.clusterKind(edgeSpec(st.b, st.vz), false)
-	c.report.Cluster = time.Since(start)
-	c.report.NodeClusters = len(c.nodeClusters)
-	c.report.EdgeClusters = len(c.edgeClusters)
-	p.clusterSpan(&c, start)
-	return c
 }
 
 // clusterSpan emits the cluster-stage span for one computed batch.
@@ -314,7 +289,6 @@ type kindSpec struct {
 	manual      *lsh.Params // Config.NodeParams / Config.EdgeParams
 	dim         int
 	labelTokens int
-	vec         func(i int) []float64
 	vecInto     func(i int, dst []float64)
 	sets        func() [][]uint64
 	enc         func() *vectorize.Encoding
@@ -325,7 +299,6 @@ func nodeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 		n:           len(b.Nodes),
 		dim:         vz.NodeDim(),
 		labelTokens: vz.LabelTokens(),
-		vec:         func(i int) []float64 { return vz.NodeVector(&b.Nodes[i]) },
 		vecInto:     func(i int, dst []float64) { vz.NodeVectorInto(&b.Nodes[i], dst) },
 		sets:        func() [][]uint64 { return vz.NodeSets(b) },
 		enc:         func() *vectorize.Encoding { return vz.NodeEncoding(b) },
@@ -338,7 +311,6 @@ func edgeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 		isEdge:      true,
 		dim:         vz.EdgeDim(),
 		labelTokens: vz.LabelTokens(),
-		vec:         func(i int) []float64 { return vz.EdgeVector(&b.Edges[i]) },
 		vecInto:     func(i int, dst []float64) { vz.EdgeVectorInto(&b.Edges[i], dst) },
 		sets:        func() [][]uint64 { return vz.EdgeSets(b) },
 		enc:         func() *vectorize.Encoding { return vz.EdgeEncoding(b) },
@@ -348,10 +320,9 @@ func edgeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 // clusterKind clusters one element kind with the configured method and
 // returns the clusters plus the parameters used. It only reads the
 // Vectorizer snapshot captured in the spec, so different kinds — and
-// different batches — may cluster concurrently. With arena set, element
-// vectors are rendered into one contiguous allocation.
-func (p *Pipeline) clusterKind(spec kindSpec, arena bool) ([]lsh.Cluster, lsh.Params) {
-	clusters, params := p.clusterKindInner(spec, arena)
+// different batches — may cluster concurrently.
+func (p *Pipeline) clusterKind(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
+	clusters, params := p.clusterKindInner(spec)
 	p.clusterEst[kindIndex(spec.isEdge)].Store(int64(len(clusters)))
 	if p.instr.Enabled() && len(clusters) > 0 {
 		hist := obs.HistNodeOccupancy
@@ -393,7 +364,7 @@ func (p *Pipeline) bucketHint(isEdge bool) int {
 // distinct sampled record (adaptRecords), and factored MinHash signs once
 // per distinct record. Both yield bit-identical parameters and clusters to
 // the dense path.
-func (p *Pipeline) clusterKindInner(spec kindSpec, arena bool) ([]lsh.Cluster, lsh.Params) {
+func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 	n := spec.n
 	if n == 0 {
 		return nil, lsh.Params{}
@@ -406,7 +377,7 @@ func (p *Pipeline) clusterKindInner(spec kindSpec, arena bool) ([]lsh.Cluster, l
 	}
 	adaptSeed += p.cfg.Seed
 	if p.cfg.DenseSignatures {
-		return p.clusterKindDense(spec, arena, manual, adaptSeed, p.cfg.Seed+mhSeed, p.cfg.Seed+famSeed)
+		return p.clusterKindDense(spec, manual, adaptSeed, p.cfg.Seed+mhSeed, p.cfg.Seed+famSeed)
 	}
 
 	enc := spec.enc()
@@ -443,12 +414,12 @@ func (p *Pipeline) clusterKindInner(spec kindSpec, arena bool) ([]lsh.Cluster, l
 // clusterKindDense is the reference cluster step behind
 // Config.DenseSignatures: every element is rendered (as a vector or a token
 // set) and hashed on its own.
-func (p *Pipeline) clusterKindDense(spec kindSpec, arena bool, manual *lsh.Params, adaptSeed, mhSeed, famSeed int64) ([]lsh.Cluster, lsh.Params) {
+func (p *Pipeline) clusterKindDense(spec kindSpec, manual *lsh.Params, adaptSeed, mhSeed, famSeed int64) ([]lsh.Cluster, lsh.Params) {
 	n := spec.n
 	params := manual
 	var vectors [][]float64
 	if params == nil || p.cfg.Method != MethodMinHash {
-		vectors = p.renderVectors(spec, arena)
+		vectors = p.renderVectors(spec)
 	}
 	if params == nil {
 		adapted := lsh.AdaptParamsAll(vectors, spec.labelTokens, spec.isEdge, adaptSeed)
@@ -543,21 +514,15 @@ func (p *Pipeline) clusterMinHashFactored(spec kindSpec, enc *vectorize.Encoding
 	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge))
 }
 
-// renderVectors materializes every element vector of one kind, either as one
-// allocation per record (the serial path's historical pattern) or sliced out
-// of a single contiguous arena — same float values, far fewer allocations
-// and much less GC pressure on large batches.
-func (p *Pipeline) renderVectors(spec kindSpec, arena bool) [][]float64 {
+// renderVectors materializes every element vector of one kind, sliced out
+// of a single contiguous arena.
+func (p *Pipeline) renderVectors(spec kindSpec) [][]float64 {
 	vectors := make([][]float64, spec.n)
-	if arena && spec.dim > 0 {
-		backing := make([]float64, spec.n*spec.dim)
-		for i := range vectors {
-			vectors[i] = backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
-		}
-		parmap(spec.n, p.cfg.Parallelism, func(i int) { spec.vecInto(i, vectors[i]) })
-		return vectors
+	backing := make([]float64, spec.n*spec.dim)
+	for i := range vectors {
+		vectors[i] = backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
 	}
-	parmap(spec.n, p.cfg.Parallelism, func(i int) { vectors[i] = spec.vec(i) })
+	parmap(spec.n, p.cfg.Parallelism, func(i int) { spec.vecInto(i, vectors[i]) })
 	return vectors
 }
 
@@ -695,9 +660,30 @@ func telemetrySnapshot(cfg Config) *obs.Snapshot {
 // overlapped execution engine runs; the result is byte-identical to a
 // serial run with the same seed.
 func Discover(src pg.Source, cfg Config) *Result {
-	p := NewPipeline(cfg)
+	return infallible(NewPipeline(cfg).run(pg.AsErrSource(src), FTOptions{}))
+}
+
+// infallible unwraps a run over pg.AsErrSource without a checkpointer: that
+// source cannot fail and nothing is saved, so an error is a programming
+// error.
+func infallible(res *Result, err error) *Result {
+	if err != nil {
+		panic("core: run over an infallible source failed: " + err.Error())
+	}
+	return res
+}
+
+// run drains src through the pipeline (DrainFT), finalizes, and assembles
+// the Result: the single-pipeline path behind Discover, DiscoverGraph and
+// the Shards ≤ 1 case of DiscoverShardedFT/ResumeDiscoverShardedFT. On a
+// permanent source failure it returns the error; progress up to the failure
+// lives in the last checkpoint.
+func (p *Pipeline) run(src pg.ErrSource, opts FTOptions) (*Result, error) {
 	start := time.Now()
-	p.Drain(src)
+	skipped, err := p.DrainFT(src, opts)
+	if err != nil {
+		return nil, err
+	}
 	discovery := time.Since(start)
 
 	start = time.Now()
@@ -708,12 +694,12 @@ func Discover(src pg.Source, cfg Config) *Result {
 		Def:         def,
 		Schema:      p.schema,
 		Reports:     p.reports,
-		Skipped:     p.driftSkipped,
+		Skipped:     skipped,
 		Drift:       p.driftSummary(),
 		Discovery:   discovery,
 		PostProcess: post,
 		Telemetry:   telemetrySnapshot(p.cfg),
-	}
+	}, nil
 }
 
 // DiscoverGraph is a convenience wrapper: discover the schema of a fully

@@ -33,12 +33,12 @@ import (
 	"pghive/internal/schema"
 )
 
-// chanSource adapts a batch channel to pg.Source: a closed channel is end of
-// stream.
+// chanSource adapts a batch channel to pg.ErrSource: a closed channel is
+// end of stream, and a feed never fails.
 type chanSource struct{ ch chan *pg.Batch }
 
-// Next implements pg.Source.
-func (c *chanSource) Next() *pg.Batch { return <-c.ch }
+// Next implements pg.ErrSource.
+func (c *chanSource) Next() (*pg.Batch, error) { return <-c.ch, nil }
 
 // shardConfig derives shard i's pipeline configuration: telemetry events are
 // tagged with the shard index, and the worker budget is split across shards
@@ -66,38 +66,20 @@ func newShardPipelines(cfg Config) []*Pipeline {
 }
 
 // DiscoverSharded is Discover with the stream partitioned across
-// cfg.Shards concurrent pipelines. Shards ≤ 1 is exactly Discover
-// (byte-identical output); N > 1 merges the partial schemas in shard order
-// and finalizes the global schema.
+// cfg.Shards concurrent pipelines: the fault-tolerant router with no
+// options (DiscoverShardedFT over pg.AsErrSource). Shards ≤ 1 is exactly
+// Discover (byte-identical output); N > 1 merges the partial schemas in
+// shard order and finalizes the global schema.
 func DiscoverSharded(src pg.Source, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	if cfg.Shards <= 1 {
-		return Discover(src, cfg)
-	}
-	start := time.Now()
-	pipes := newShardPipelines(cfg)
-	feeds, wait := startShards(pipes, cfg, nil, nil, nil)
-	for b := src.Next(); b != nil; b = src.Next() {
-		for j, part := range pg.PartitionBatch(b, cfg.Shards) {
-			if part.Len() > 0 {
-				feeds[j] <- part
-			}
-		}
-	}
-	for _, ch := range feeds {
-		close(ch)
-	}
-	wait()
-	return finishSharded(pipes, cfg, start, nil)
+	return infallible(DiscoverShardedFT(pg.AsErrSource(src), cfg, FTOptions{}))
 }
 
-// startShards launches one drain goroutine per pipeline, each consuming its
-// own buffered feed channel. With shardSlots/co set the shards run DrainFT
-// (skipping the sub-batches a resumed checkpoint already folded in,
-// checkpointing through the coordinator); otherwise they run the plain
-// Drain. errs, when non-nil, receives each shard's permanent error. The
-// returned wait blocks until every shard finishes. A shard that stops early
-// keeps draining its feed so the router never blocks on a dead shard.
+// startShards launches one DrainFT goroutine per pipeline, each consuming
+// its own buffered feed channel, skipping the sub-batches a resumed
+// checkpoint already folded in (shardSlots) and checkpointing through the
+// coordinator when co is set. errs receives each shard's permanent error.
+// The returned wait blocks until every shard finishes. A shard that stops
+// early keeps draining its feed so the router never blocks on a dead shard.
 func startShards(pipes []*Pipeline, cfg Config, shardSlots []int, co *shardCoordinator, errs []error) ([]chan *pg.Batch, func()) {
 	feeds := make([]chan *pg.Batch, len(pipes))
 	var wg sync.WaitGroup
@@ -106,24 +88,17 @@ func startShards(pipes []*Pipeline, cfg Config, shardSlots []int, co *shardCoord
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if shardSlots == nil {
-				pipes[i].Drain(&chanSource{ch: feeds[i]})
-			} else {
-				// The feed only ever delivers good batches (the router
-				// absorbs upstream faults), so the shard's own puller just
-				// counts sub-batch slots and honors its resume skip window.
-				var ck Checkpointer
-				if co != nil {
-					ck = shardSaver{co: co, shard: i}
-				}
-				_, err := pipes[i].DrainFT(pg.AsErrSource(&chanSource{ch: feeds[i]}), FTOptions{
-					Checkpoint: ck,
-					SkipSlots:  shardSlots[i],
-				})
-				if errs != nil {
-					errs[i] = err
-				}
+			// The feed only ever delivers good batches (the router absorbs
+			// upstream faults), so the shard's own puller just counts
+			// sub-batch slots and honors its resume skip window.
+			var ck Checkpointer
+			if co != nil {
+				ck = shardSaver{co: co, shard: i}
 			}
+			_, errs[i] = pipes[i].DrainFT(&chanSource{ch: feeds[i]}, FTOptions{
+				Checkpoint: ck,
+				SkipSlots:  shardSlots[i],
+			})
 			for range feeds[i] { // unblock the router if this shard died early
 			}
 		}(i)
@@ -329,85 +304,68 @@ type shardSaver struct {
 // Save implements Checkpointer.
 func (s shardSaver) Save(state []byte) error { return s.co.save(s.shard, state) }
 
-// routeShards pulls the fallible upstream, absorbing transient faults and
-// quarantining poisoned batches exactly like the single-pipeline puller, and
-// delivers each good batch's non-empty sub-batches to the shard feeds. On
-// resume every good batch is re-delivered (each shard drops its own already
-// folded sub-batches); the skip window only suppresses re-recording of
-// quarantines the checkpointed run already reported. Closes all feeds on
-// return.
+// routeShards pulls the fallible upstream through the shared puller (which
+// absorbs transient faults and quarantines poisoned batches) and delivers
+// each good batch's non-empty sub-batches to the shard feeds. On resume
+// every good batch is re-delivered (each shard drops its own already folded
+// sub-batches); the skip window only suppresses re-recording of quarantines
+// the checkpointed run already reported. The coordinator's position
+// advances after each quarantine past the window and before each delivered
+// batch past it. Closes all feeds on return.
 func routeShards(src pg.ErrSource, feeds []chan *pg.Batch, opts FTOptions, co *shardCoordinator, instr obs.Instr) ([]SkipReport, error) {
 	defer func() {
 		for _, ch := range feeds {
 			close(ch)
 		}
 	}()
-	budget := opts.MaxTransient
-	if budget <= 0 {
-		budget = DefaultMaxTransient
+	pl := newPuller(src, opts, instr)
+	if co != nil {
+		pl.onQuarantine = func() { co.position(pl.slot, pl.skipped) }
 	}
-	slot := 0
-	skipped := append([]SkipReport(nil), opts.Skipped...)
-	transients := 0
 	for {
-		b, err := src.Next()
-		switch {
-		case err == nil && b == nil:
-			return skipped, nil
-		case err == nil:
-			slot++
-			transients = 0
-			if co != nil && slot > opts.SkipSlots {
-				co.position(slot, skipped)
+		b, err := pl.next()
+		if err != nil || b == nil {
+			return pl.skipped, err
+		}
+		if co != nil && !pl.replayed() {
+			co.position(pl.slot, pl.skipped)
+		}
+		for j, part := range pg.PartitionBatch(b, len(feeds)) {
+			if part.Len() > 0 {
+				feeds[j] <- part
 			}
-			for j, part := range pg.PartitionBatch(b, len(feeds)) {
-				if part.Len() > 0 {
-					feeds[j] <- part
-				}
-			}
-		case pg.IsTransient(err):
-			transients++
-			if transients >= budget {
-				return skipped, fmt.Errorf("core: slot %d: %d consecutive transient faults: %w", slot, transients, err)
-			}
-			instr.Add(obs.CtrRetries, 1)
-		case pg.IsCorrupt(err):
-			slot++
-			transients = 0
-			if slot <= opts.SkipSlots {
-				continue // already recorded by the checkpointed run
-			}
-			skipped = append(skipped, SkipReport{Seq: slot - 1, Reason: err.Error()})
-			instr.Add(obs.CtrQuarantined, 1)
-			if co != nil {
-				co.position(slot, skipped)
-			}
-		default:
-			return skipped, err
 		}
 	}
 }
 
-// DiscoverShardedFT is DiscoverFT with the stream partitioned across
-// cfg.Shards pipelines. Shards ≤ 1 delegates to DiscoverFT. Checkpoints are
-// PGCK8 containers covering the whole fleet; resume them with
-// ResumeDiscoverShardedFT.
+// DiscoverShardedFT is Discover over a fallible source, with the stream
+// partitioned across cfg.Shards pipelines. Shards ≤ 1 runs the single
+// pipeline; its checkpoints are single-pipeline PGCK7 states. N > 1
+// checkpoints PGCK8 containers covering the whole fleet. Resume either with
+// ResumeDiscoverShardedFT; on a permanent source failure the error is
+// returned and progress up to it lives in the last checkpoint.
 func DiscoverShardedFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards <= 1 {
-		return DiscoverFT(src, cfg, opts)
+		return NewPipeline(cfg).run(src, opts)
 	}
 	return runShardedFT(newShardPipelines(cfg), make([]int, cfg.Shards), src, cfg, opts)
 }
 
-// ResumeDiscoverShardedFT restores a fleet from a PGCK8 container and
-// continues draining src — which must replay the same stream from the
-// beginning — then merges and finalizes. The configuration (including
-// Shards) must match the writer's.
+// ResumeDiscoverShardedFT restores a pipeline (Shards ≤ 1) or a fleet from
+// checkpoint bytes and continues draining src — which must replay the same
+// stream from the beginning; the slots already folded in are skipped — then
+// finalizes. The configuration (including Shards) must match the writer's.
 func ResumeDiscoverShardedFT(state []byte, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards <= 1 {
-		return ResumeDiscoverFT(state, src, cfg, opts)
+		p, slots, skipped, err := ResumePipeline(bytes.NewReader(state), cfg)
+		if err != nil {
+			return nil, err
+		}
+		opts.SkipSlots = slots
+		opts.Skipped = skipped
+		return p.run(src, opts)
 	}
 	sections, slots, skipped, err := decodeShardContainer(state, cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -272,7 +273,7 @@ func TestShardedQuarantine(t *testing.T) {
 }
 
 // TestShardedResume is kill-anywhere recovery for the fleet: a sharded run
-// crashes at several stream positions, the PGCK6 container restores all
+// crashes at several stream positions, the PGCK8 container restores all
 // shards plus the router position, and the resumed run finishes
 // byte-identical to an uninterrupted sharded run.
 func TestShardedResume(t *testing.T) {
@@ -306,7 +307,62 @@ func TestShardedResume(t *testing.T) {
 	}
 }
 
-// TestShardedResumeRejects: a PGCK6 container refuses to resume under a
+// TestShardedResumeWithCorruption: fleet crash/resume composes with the
+// router's quarantine. Three shards run over a corrupting source that dies
+// after every possible slot count — before and after each quarantined
+// slot — and each resumed run finishes with the uninterrupted sharded run's
+// Def bytes and quarantine list.
+func TestShardedResumeWithCorruption(t *testing.T) {
+	batches := faultFreeBatches(t, 300, 8)
+	cfg := DefaultConfig()
+	cfg.Shards = 3
+	profile := pg.FaultProfile{CorruptRate: 0.3, Seed: 9}
+	faulty := func(p pg.FaultProfile) pg.ErrSource {
+		return pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), p)
+	}
+	uninterrupted, err := DiscoverShardedFT(faulty(profile), cfg, FTOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(uninterrupted.Skipped) == 0 || uninterrupted.Skipped[0].Seq >= len(batches)-1 {
+		t.Fatalf("profile must quarantine a slot before the last: %+v", uninterrupted.Skipped)
+	}
+	wantJSON, wantDDL := renderDef(t, uninterrupted.Def)
+
+	for failAfter := 1; failAfter < len(batches); failAfter++ {
+		ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "fleet.ck")}
+		crashProfile := profile
+		crashProfile.FailAfter = failAfter
+		if _, err := DiscoverShardedFT(faulty(crashProfile), cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+			t.Fatalf("failAfter=%d: want permanent fault, got %v", failAfter, err)
+		}
+		state, ok, err := ck.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		if ok {
+			res, err = ResumeDiscoverShardedFT(state, faulty(profile), cfg, FTOptions{Checkpoint: ck})
+		} else { // the run died before any shard saved (leading corrupt slots)
+			res, err = DiscoverShardedFT(faulty(profile), cfg, FTOptions{Checkpoint: ck})
+		}
+		if err != nil {
+			t.Fatalf("failAfter=%d: resume: %v", failAfter, err)
+		}
+		gotJSON, gotDDL := renderDef(t, res.Def)
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Errorf("failAfter=%d: resumed JSON diverges\nwant %s\ngot  %s", failAfter, wantJSON, gotJSON)
+		}
+		if !bytes.Equal(wantDDL, gotDDL) {
+			t.Errorf("failAfter=%d: resumed DDL diverges", failAfter)
+		}
+		if !reflect.DeepEqual(res.Skipped, uninterrupted.Skipped) {
+			t.Errorf("failAfter=%d: resumed skip list %+v, want %+v", failAfter, res.Skipped, uninterrupted.Skipped)
+		}
+	}
+}
+
+// TestShardedResumeRejects: a PGCK8 container refuses to resume under a
 // different shard count, a different configuration, as a single-pipeline
 // checkpoint (and vice versa), or from the superseded PGCK4 container
 // format.
@@ -339,7 +395,7 @@ func TestShardedResumeRejects(t *testing.T) {
 		t.Error("resume with different theta succeeded")
 	}
 
-	if _, err := ResumeDiscoverFT(state, src(), DefaultConfig(), FTOptions{}); err == nil {
+	if _, err := ResumeDiscoverShardedFT(state, src(), DefaultConfig(), FTOptions{}); err == nil {
 		t.Error("single-pipeline resume accepted a fleet container")
 	}
 
@@ -354,7 +410,7 @@ func TestShardedResumeRejects(t *testing.T) {
 	soloCk := FileCheckpointer{Path: filepath.Join(t.TempDir(), "solo.ck")}
 	soloCrash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 		pg.FaultProfile{FailAfter: 2, Seed: 1})
-	if _, err := DiscoverFT(soloCrash, DefaultConfig(), FTOptions{Checkpoint: soloCk}); !errors.Is(err, pg.ErrPermanentFault) {
+	if _, err := DiscoverShardedFT(soloCrash, DefaultConfig(), FTOptions{Checkpoint: soloCk}); !errors.Is(err, pg.ErrPermanentFault) {
 		t.Fatalf("want permanent fault, got %v", err)
 	}
 	soloState, _, _ := soloCk.Load()

@@ -26,9 +26,10 @@ type Stage uint8
 
 // Pipeline stages, in batch-flow order.
 const (
-	// StageLoad is the time a batch's consumer was blocked fetching it from
-	// the source. Under the prefetching engine this measures the stall, not
-	// the upstream cost: a fully hidden load shows ~0.
+	// StageLoad is the time spent pulling a batch from the source,
+	// including retried transient faults. It runs on the preprocess
+	// goroutine, so under the overlapped engine it overlaps the clustering
+	// and extraction of earlier batches.
 	StageLoad Stage = iota
 	// StagePreprocess is label alignment + vectorization (serial, in batch
 	// order).

@@ -303,7 +303,7 @@ func Run(opts Options) (*Report, error) {
 		opts.logf("verifying sharded-vs-serial schema equivalence")
 		serialCfg := refCfg
 		serialCfg.Shards = 0
-		ref, err := core.DiscoverFT(&killSource{inner: opts.faultedSource(), budget: -1}, serialCfg, core.FTOptions{})
+		ref, err := core.DiscoverShardedFT(&killSource{inner: opts.faultedSource(), budget: -1}, serialCfg, core.FTOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("soak: serial reference run: %w", err)
 		}

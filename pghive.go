@@ -204,34 +204,21 @@ func NewFaultSource(src ErrSource, p FaultProfile) *FaultSource { return pg.NewF
 // jitter, bounded by a per-batch attempt budget.
 func NewRetrySource(src ErrSource, p RetryPolicy) *RetrySource { return pg.NewRetrySource(src, p) }
 
-// DiscoverStreamFT drains a fallible source with graceful degradation:
-// transient faults are retried, poisoned batches are quarantined into
-// Result.Skipped, and — when opts.Checkpoint is set — the pipeline state is
-// checkpointed after every batch.
-func DiscoverStreamFT(src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return core.DiscoverFT(src, cfg, opts)
-}
-
-// ResumeDiscoverStreamFT restores a run from checkpoint bytes and continues
-// it over a replay of the same stream; the finalized schema is
-// byte-identical to an uninterrupted run.
-func ResumeDiscoverStreamFT(state []byte, src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return core.ResumeDiscoverFT(state, src, cfg, opts)
-}
-
-// DiscoverShardedFT is DiscoverSharded over a fallible source: the router
-// retries transient faults and quarantines poisoned batches, and — with
-// opts.Checkpoint set — the whole fleet checkpoints into one container
-// (router position + one section per shard). Shards ≤ 1 delegates to
-// DiscoverStreamFT.
+// DiscoverShardedFT is DiscoverSharded over a fallible source: transient
+// faults are retried, poisoned batches are quarantined into Result.Skipped,
+// and — with opts.Checkpoint set — the state is checkpointed after every
+// batch. Shards ≤ 1 runs the single pipeline (DiscoverStream over a
+// fallible source) and checkpoints its state; N > 1 checkpoints the whole
+// fleet into one container (router position + one section per shard).
 func DiscoverShardedFT(src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
 	return core.DiscoverShardedFT(src, cfg, opts)
 }
 
-// ResumeDiscoverShardedFT restores a sharded run from container bytes and
-// continues it over a replay of the same stream; the finalized schema is
-// byte-identical to an uninterrupted sharded run with the same
-// configuration.
+// ResumeDiscoverShardedFT restores a run from checkpoint bytes written by
+// DiscoverShardedFT (a single-pipeline state for Shards ≤ 1, a fleet
+// container otherwise) and continues it over a replay of the same stream;
+// the finalized schema is byte-identical to an uninterrupted run with the
+// same configuration.
 func ResumeDiscoverShardedFT(state []byte, src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
 	return core.ResumeDiscoverShardedFT(state, src, cfg, opts)
 }
