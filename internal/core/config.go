@@ -171,12 +171,14 @@ type Config struct {
 	// every EpochInterval batches, no validation), so a server can publish
 	// copy-on-write schema epochs without paying for conformance checking.
 	// The hook runs at the serialized extract point and must return quickly;
-	// the snapshot Def is immutable and safe to retain. Execution-only: it
-	// observes the schema but never feeds back, so — like Telemetry — it is
-	// excluded from the checkpoint fingerprint. In a sharded run each shard
-	// fires the hook for its own partial schema (Shard tags the origin);
-	// whole-fleet publication goes through the checkpoint layer instead
-	// (see internal/serve).
+	// it is never called concurrently, and the snapshot Def is immutable and
+	// safe to retain. Execution-only: it observes the schema but never feeds
+	// back, so — like Telemetry — it is excluded from the checkpoint
+	// fingerprint. A sharded run delivers fleet-wide snapshots: at each
+	// shard's epoch boundary the latest copies of every shard's schema are
+	// merged and finalized as at stream end, and Batches counts extracted
+	// sub-batches across the fleet. Its final schema is Result.Def, not a
+	// Final snapshot.
 	OnEpoch func(EpochSnapshot)
 	// driftShard tags this pipeline's drift-log records with its shard index
 	// (set by shardConfig; 0 for unsharded runs).

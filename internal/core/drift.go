@@ -177,15 +177,15 @@ type driftEpochRecord struct {
 // an immutable view of the finalized schema at that point in the stream.
 type EpochSnapshot struct {
 	// Epoch is the 1-based epoch counter; Batches is how many batches had
-	// been extracted into the schema when the snapshot was taken; Seq is the
-	// stream sequence number of the batch that closed the window.
+	// been extracted into the schema when the snapshot was taken (sharded:
+	// sub-batches summed over the fleet, the unit of Result.Reports); Seq is
+	// the stream sequence number of the batch that closed the window
+	// (sharded: Batches-1).
 	Epoch   int
 	Batches int
 	Seq     int
 	// Final marks the partial window closed at Finalize time.
 	Final bool
-	// Shard is the discovery shard that took the snapshot (0 unsharded).
-	Shard int
 	// Def is the finalized schema; it aliases nothing mutable and may be
 	// retained indefinitely.
 	Def *schema.Def
@@ -429,7 +429,7 @@ func (p *Pipeline) driftEpoch(seq int, final bool) {
 	if p.cfg.OnEpoch != nil {
 		p.cfg.OnEpoch(EpochSnapshot{
 			Epoch: d.epoch, Batches: len(p.reports), Seq: seq, Final: final,
-			Shard: p.cfg.driftShard, Def: def, Changes: changes,
+			Def: def, Changes: changes,
 		})
 	}
 }

@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"pghive/internal/obs"
 	"pghive/internal/pg"
 	"pghive/internal/schema"
 	"pghive/internal/serialize"
@@ -107,5 +112,126 @@ func TestOnEpochComposesWithDrift(t *testing.T) {
 	}
 	if res.Drift.Total() == 0 {
 		t.Error("drifting stream reported no violations under evolve+hook")
+	}
+}
+
+// TestOnEpochShardedFleet: a sharded run hands OnEpoch fleet-wide
+// snapshots. Every batch reaches every shard and the batch count is a
+// multiple of EpochInterval, so every shard closes an epoch on its last
+// sub-batch and the last fleet snapshot folds every shard's complete schema:
+// its Def must be byte-identical to DiscoverSharded's. Hook calls never
+// overlap, epochs count up from 1, and Batches (sub-batches summed over the
+// fleet) never decreases and ends at len(Result.Reports).
+func TestOnEpochShardedFleet(t *testing.T) {
+	const interval = 4
+	batches := faultFreeBatches(t, 300, 2*interval)
+	for _, shards := range []int{2, 3} {
+		for _, b := range batches {
+			for j, part := range pg.PartitionBatch(b, shards) {
+				if part.Len() == 0 {
+					t.Fatalf("shards=%d: a batch misses shard %d", shards, j)
+				}
+			}
+		}
+		base := DefaultConfig()
+		base.Shards = shards
+		base.EpochInterval = interval
+		wantJSON, _ := renderDef(t, DiscoverSharded(pg.NewSliceSource(batches...), base).Def)
+
+		for _, depth := range []int{1, 4} {
+			var inHook atomic.Int32
+			var snaps []EpochSnapshot
+			cfg := base
+			cfg.PipelineDepth = depth
+			cfg.OnEpoch = func(s EpochSnapshot) {
+				if inHook.Add(1) != 1 {
+					t.Errorf("shards=%d depth=%d: overlapping OnEpoch calls", shards, depth)
+				}
+				runtime.Gosched()
+				snaps = append(snaps, s)
+				inHook.Add(-1)
+			}
+			res := DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+			gotJSON, _ := renderDef(t, res.Def)
+			if !bytes.Equal(wantJSON, gotJSON) {
+				t.Fatalf("shards=%d depth=%d: OnEpoch changed the sharded schema", shards, depth)
+			}
+			// Each shard closes 2 epochs over its 8 sub-batches.
+			if len(snaps) != 2*shards {
+				t.Fatalf("shards=%d depth=%d: %d fleet epochs, want %d", shards, depth, len(snaps), 2*shards)
+			}
+			for i, s := range snaps {
+				if s.Epoch != i+1 || s.Final || s.Seq != s.Batches-1 {
+					t.Errorf("shards=%d depth=%d: snapshot %d = {Epoch %d Batches %d Seq %d Final %t}",
+						shards, depth, i, s.Epoch, s.Batches, s.Seq, s.Final)
+				}
+				if i > 0 && s.Batches < snaps[i-1].Batches {
+					t.Errorf("shards=%d depth=%d: Batches went %d → %d", shards, depth, snaps[i-1].Batches, s.Batches)
+				}
+				if i == 0 && s.Changes != nil {
+					t.Errorf("shards=%d depth=%d: baseline fleet epoch carries changes: %v", shards, depth, s.Changes)
+				}
+			}
+			last := snaps[len(snaps)-1]
+			if last.Batches != len(res.Reports) {
+				t.Errorf("shards=%d depth=%d: last fleet epoch at %d sub-batches, run has %d",
+					shards, depth, last.Batches, len(res.Reports))
+			}
+			if lastJSON, _ := renderDef(t, last.Def); !bytes.Equal(wantJSON, lastJSON) {
+				t.Errorf("shards=%d depth=%d: last fleet epoch differs from DiscoverSharded\nwant %s\ngot  %s",
+					shards, depth, wantJSON, lastJSON)
+			}
+		}
+	}
+}
+
+// TestOnEpochShardedResumeSeeded: a resumed fleet's first epoch already
+// holds every shard's restored schema. Against the checkpoint's own merged
+// schema it removes no type and loses no instance — an unseeded fleet
+// would publish only the shard that closed the epoch.
+func TestOnEpochShardedResumeSeeded(t *testing.T) {
+	batches := faultFreeBatches(t, 300, 8)
+	cfg := DefaultConfig()
+	cfg.Shards = 3
+	cfg.EpochInterval = 4
+	cfg.OnEpoch = func(EpochSnapshot) {}
+	ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "fleet.ck")}
+	crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
+		pg.FaultProfile{FailAfter: 5, Seed: 1})
+	if _, err := DiscoverShardedFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+		t.Fatalf("want permanent fault, got %v", err)
+	}
+	state, ok, err := ck.Load()
+	if err != nil || !ok {
+		t.Fatalf("no container after crash: ok=%t err=%v", ok, err)
+	}
+	schemas, err := DecodeCheckpointSchemas(state, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, saved, _ := foldShards(schemas, cfg.withDefaults(), obs.Instr{}, 0)
+
+	var first *EpochSnapshot
+	cfg.OnEpoch = func(s EpochSnapshot) {
+		if first == nil {
+			first = &s
+		}
+	}
+	if _, err := ResumeDiscoverShardedFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil {
+		t.Fatal("resumed fleet published no epoch")
+	}
+	for _, c := range schema.Diff(saved, first.Def) {
+		if c.Kind == schema.TypeRemoved {
+			t.Errorf("first resumed fleet epoch dropped a checkpointed type: %+v", c)
+		}
+	}
+	savedNodes, savedEdges := totalInstances(saved)
+	nodes, edges := totalInstances(first.Def)
+	if nodes < savedNodes || edges < savedEdges {
+		t.Errorf("first resumed fleet epoch holds %d/%d node/edge instances, checkpoint %d/%d",
+			nodes, edges, savedNodes, savedEdges)
 	}
 }

@@ -106,24 +106,19 @@ func startShards(pipes []*Pipeline, cfg Config, shardSlots []int, co *shardCoord
 	return feeds, wg.Wait
 }
 
-// finishSharded merges the shard schemas in index order, stamps each report
-// with its shard, finalizes the global schema and assembles the Result.
+// finishSharded closes every shard's final epoch, folds the shards' drift
+// activity, skip lists and reports (each stamped with its shard), then
+// merges and finalizes the global schema through foldShards and assembles
+// the Result.
 func finishSharded(pipes []*Pipeline, cfg Config, start time.Time, skipped []SkipReport) *Result {
-	instr := obs.NewInstr(cfg.Telemetry)
-
-	mStart := time.Now()
-	global := schema.NewSchema()
-	// The merge target carries the same evidence policy as the shards so
-	// cross-mode conversions only happen for evidence that predates the
-	// policy, and the merged sketches keep their caps.
-	global.SetEvidencePolicy(cfg.evidencePolicy())
 	var reports []BatchReport
 	var drift *DriftSummary
 	merged := 0
+	shards := make([]*schema.Schema, len(pipes))
 	for i, p := range pipes {
 		// Close each shard's final partial epoch before merging (shards
-		// never call their own Finalize; the global schema is finalized
-		// below) and fold its drift activity into the run-level summary.
+		// never call their own Finalize; the global schema is finalized by
+		// the fold) and fold its drift activity into the run-level summary.
 		// Shard-level skip slots are positions in the shard's own sub-batch
 		// stream, so the reason names the shard.
 		p.driftFinalEpoch()
@@ -138,41 +133,141 @@ func finishSharded(pipes []*Pipeline, cfg Config, start time.Time, skipped []Ski
 			s.Reason = fmt.Sprintf("shard %d: %s", i, s.Reason)
 			skipped = append(skipped, s)
 		}
-		schema.MergeSchemas(global, p.schema, cfg.Theta)
 		for _, r := range p.reports {
 			r.Shard = i
 			reports = append(reports, r)
 			merged += r.Nodes + r.Edges
 		}
+		shards[i] = p.schema
 	}
-	instr.Span(obs.Span{
-		Stage: obs.StageMerge, Batch: -1,
-		Start: mStart, Duration: time.Since(mStart),
-		Elements: merged,
-	})
-	discovery := time.Since(start)
-
-	fStart := time.Now()
-	def := infer.Finalize(global, infer.Options{
-		SampleBased:   cfg.SampleDatatypes,
-		Participation: cfg.Participation,
-	})
-	instr.Span(obs.Span{
-		Stage: obs.StagePostprocess, Batch: -1,
-		Start: fStart, Duration: time.Since(fStart),
-		Elements: len(def.Nodes) + len(def.Edges),
-	})
-
+	global, def, post := foldShards(shards, cfg, obs.NewInstr(cfg.Telemetry), merged)
 	return &Result{
 		Def:         def,
 		Schema:      global,
 		Reports:     reports,
 		Skipped:     skipped,
 		Drift:       drift,
-		Discovery:   discovery,
-		PostProcess: time.Since(fStart),
+		Discovery:   time.Since(start) - post,
+		PostProcess: post,
 		Telemetry:   telemetrySnapshot(cfg),
 	}
+}
+
+// foldShards merges shard schemas into a fresh global schema in index order
+// (consuming them) and finalizes it. It is the one fold behind both the
+// sharded Result and every fleet epoch. instr receives the merge span
+// (reporting elements) and the finalize span; the finalize time is
+// returned.
+func foldShards(shards []*schema.Schema, cfg Config, instr obs.Instr, elements int) (*schema.Schema, *schema.Def, time.Duration) {
+	mStart := time.Now()
+	global := schema.NewSchema()
+	// The merge target carries the same evidence policy as the shards so
+	// cross-mode conversions only happen for evidence that predates the
+	// policy, and the merged sketches keep their caps.
+	global.SetEvidencePolicy(cfg.evidencePolicy())
+	for _, s := range shards {
+		schema.MergeSchemas(global, s, cfg.Theta)
+	}
+	instr.Span(obs.Span{
+		Stage: obs.StageMerge, Batch: -1,
+		Start: mStart, Duration: time.Since(mStart),
+		Elements: elements,
+	})
+
+	fStart := time.Now()
+	def := infer.Finalize(global, infer.Options{
+		SampleBased:   cfg.SampleDatatypes,
+		Participation: cfg.Participation,
+	})
+	post := time.Since(fStart)
+	instr.Span(obs.Span{
+		Stage: obs.StagePostprocess, Batch: -1,
+		Start: fStart, Duration: post,
+		Elements: len(def.Nodes) + len(def.Edges),
+	})
+	return global, def, post
+}
+
+// fleetEpochs turns the shards' epoch clocks into fleet-wide epochs for
+// Config.OnEpoch. At each shard's epoch boundary (its serialized extract
+// point) the shard's schema is copied into latest; then, under one mutex,
+// every shard's latest copy is decoded and folded by foldShards, exactly as
+// the final Result is, and the caller's hook receives the fleet Def. The
+// copies are needed because MergeSchemas consumes its source and the other
+// shards keep mutating their live schemas.
+type fleetEpochs struct {
+	cfg Config // OnEpoch is the caller's hook
+
+	mu      sync.Mutex
+	latest  [][]byte // each shard's schema at its last epoch, WriteSchema-encoded
+	batches []int    // each shard's extracted sub-batches at that copy
+	epoch   int
+	prev    *schema.Def
+}
+
+// installFleetEpochs installs the per-shard hooks in place of cfg.OnEpoch.
+// Every shard's copy is seeded from its current schema (fresh or resumed),
+// so the first fleet epoch already covers the whole fleet.
+func installFleetEpochs(pipes []*Pipeline, cfg Config) {
+	f := &fleetEpochs{
+		cfg:     cfg,
+		latest:  make([][]byte, len(pipes)),
+		batches: make([]int, len(pipes)),
+	}
+	for i, p := range pipes {
+		f.latest[i], f.batches[i] = copySchema(p.schema), len(p.reports)
+		p.cfg.OnEpoch = func(snap EpochSnapshot) {
+			// The shards' final snapshots are taken by finishSharded after
+			// the stream ends; the run's own Result.Def supersedes them.
+			if !snap.Final {
+				f.shardEpoch(i, copySchema(p.schema), snap.Batches)
+			}
+		}
+	}
+}
+
+// shardEpoch installs shard i's newest copy and publishes the fleet epoch.
+// The caller's hook runs under the fleet mutex: that is what keeps its
+// calls from overlapping and its Batches from going backwards.
+func (f *fleetEpochs) shardEpoch(i int, copied []byte, batches int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.latest[i], f.batches[i] = copied, batches
+	shards := make([]*schema.Schema, len(f.latest))
+	total := 0
+	for j, b := range f.latest {
+		s, err := schema.ReadSchema(pg.NewWireReader(bytes.NewReader(b)))
+		if err != nil {
+			panic("core: fleet epoch: decoding a schema copy: " + err.Error())
+		}
+		// As on resume: the evidence policy is configuration, not state.
+		s.SetEvidencePolicy(f.cfg.evidencePolicy())
+		shards[j] = s
+		total += f.batches[j]
+	}
+	_, def, _ := foldShards(shards, f.cfg, obs.Instr{}, 0)
+	var changes []schema.Change
+	if f.prev != nil {
+		changes = schema.Diff(f.prev, def)
+	}
+	f.epoch++
+	f.prev = def
+	f.cfg.OnEpoch(EpochSnapshot{Epoch: f.epoch, Batches: total, Seq: total - 1, Def: def, Changes: changes})
+}
+
+// copySchema encodes s with the checkpoint codec: a copy that shares
+// nothing with the live schema.
+func copySchema(s *schema.Schema) []byte {
+	var buf bytes.Buffer
+	w := pg.NewWireWriter(&buf)
+	err := schema.WriteSchema(w, s)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		panic("core: fleet epoch: copying a shard schema: " + err.Error())
+	}
+	return buf.Bytes()
 }
 
 // shardCheckpointMagic versions the sharded checkpoint container: router
@@ -392,9 +487,12 @@ func ResumeDiscoverShardedFT(state []byte, src pg.ErrSource, cfg Config, opts FT
 
 // runShardedFT drives a fault-tolerant sharded drain: router on the calling
 // goroutine, one DrainFT per shard, PGCK8 checkpoints through the
-// coordinator, then merge + finalize.
+// coordinator, fleet epochs when cfg.OnEpoch is set, then merge + finalize.
 func runShardedFT(pipes []*Pipeline, shardSlots []int, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
 	start := time.Now()
+	if cfg.OnEpoch != nil {
+		installFleetEpochs(pipes, cfg)
+	}
 	var co *shardCoordinator
 	if opts.Checkpoint != nil {
 		co = &shardCoordinator{

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // Handler serves the registry over HTTP. GET /metrics (any path, in fact)
@@ -39,12 +40,25 @@ func wantPrometheus(req *http.Request) bool {
 // free port). It returns the bound address and a closer that stops the
 // listener; in-flight scrapes finish on their own.
 func Serve(addr string, r *Registry) (string, io.Closer, error) {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", r.Handler())
+	return ListenAndServe(addr, mux)
+}
+
+// ReadHeaderTimeout bounds how long a client may take to send its request
+// headers; a client that never finishes them is disconnected.
+const ReadHeaderTimeout = 5 * time.Second
+
+// ListenAndServe binds addr (host:port; port 0 picks a free port) and serves
+// h in the background through an http.Server with ReadHeaderTimeout. It
+// returns the bound address and a closer that stops the listener; in-flight
+// requests finish on their own.
+func ListenAndServe(addr string, h http.Handler) (string, io.Closer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
-	go func() { _ = http.Serve(ln, mux) }()
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), ln, nil
 }

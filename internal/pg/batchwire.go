@@ -7,9 +7,15 @@ package pg
 // spill-to-disk ingest queue (stream.SpillQueue) persists overflow batches
 // in this format.
 
-// Codec bounds for untrusted batch headers: a batch larger than this is
-// rejected rather than pre-allocated.
-const maxBatchElements = 1 << 28
+// Codec bounds for untrusted batch headers: a batch larger than
+// maxBatchElements is rejected, and no count — records, labels or
+// properties — pre-allocates more than maxBatchPrealloc entries: beyond
+// that the containers grow as entries actually decode, so a forged count
+// costs no more memory than the bytes behind it.
+const (
+	maxBatchElements = 1 << 28
+	maxBatchPrealloc = 1 << 16
+)
 
 // WriteBatch encodes one batch: node count, edge count, then every node
 // (ID, labels, sorted props) and every edge (ID, labels, endpoints,
@@ -52,12 +58,13 @@ func ReadBatch(r *WireReader) (*Batch, error) {
 	}
 	b := &Batch{}
 	if nodes > 0 {
-		b.Nodes = make([]NodeRecord, nodes)
+		b.Nodes = make([]NodeRecord, 0, min(nodes, maxBatchPrealloc))
 	}
 	if edges > 0 {
-		b.Edges = make([]EdgeRecord, edges)
+		b.Edges = make([]EdgeRecord, 0, min(edges, maxBatchPrealloc))
 	}
-	for i := range b.Nodes {
+	for i := uint64(0); i < nodes; i++ {
+		b.Nodes = append(b.Nodes, NodeRecord{})
 		n := &b.Nodes[i]
 		id, err := r.Varint()
 		if err != nil {
@@ -71,7 +78,8 @@ func ReadBatch(r *WireReader) (*Batch, error) {
 			return nil, err
 		}
 	}
-	for i := range b.Edges {
+	for i := uint64(0); i < edges; i++ {
+		b.Edges = append(b.Edges, EdgeRecord{})
 		e := &b.Edges[i]
 		id, err := r.Varint()
 		if err != nil {
@@ -118,11 +126,13 @@ func readWireLabels(r *WireReader) ([]string, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	labels := make([]string, n)
-	for i := range labels {
-		if labels[i], err = r.InternedString(); err != nil {
+	labels := make([]string, 0, min(n, maxBatchPrealloc))
+	for i := uint64(0); i < n; i++ {
+		l, err := r.InternedString()
+		if err != nil {
 			return nil, err
 		}
+		labels = append(labels, l)
 	}
 	return labels, nil
 }
@@ -147,7 +157,7 @@ func readWireProps(r *WireReader) (Properties, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	props := make(Properties, n)
+	props := make(Properties, min(n, maxBatchPrealloc))
 	for i := uint64(0); i < n; i++ {
 		k, err := r.InternedString()
 		if err != nil {

@@ -121,8 +121,9 @@ type Epoch struct {
 	Diff schema.DiffReport
 
 	// tiers caches the unfiltered response per detail tier; filtered caches
-	// (tier, type-filter) responses under string keys. Both are lock-free on
-	// the hit path (atomic pointer load / sync.Map read).
+	// (tier, type-filter) responses for the Def's type names under string
+	// keys. Both are lock-free on the hit path (atomic pointer load /
+	// sync.Map read).
 	tiers    [numTiers]renderSlot
 	filtered sync.Map // "tier|type" -> *renderSlot
 	instr    obs.Instr
@@ -136,7 +137,10 @@ func (e *Epoch) Rendered(t Tier) (*Rendered, bool) {
 }
 
 // RenderedFiltered is Rendered with an optional type-name filter; the empty
-// filter is the unfiltered tier cache.
+// filter is the unfiltered tier cache. Only names of types in the epoch's
+// Def get a cache slot, so the cache holds at most NumTiers entries per
+// type; any other name renders uncached, with the same body it would have
+// had cached.
 func (e *Epoch) RenderedFiltered(t Tier, typeName string) (*Rendered, bool) {
 	if typeName == "" {
 		return e.Rendered(t)
@@ -144,6 +148,9 @@ func (e *Epoch) RenderedFiltered(t Tier, typeName string) (*Rendered, bool) {
 	key := t.String() + "|" + typeName
 	v, ok := e.filtered.Load(key)
 	if !ok {
+		if e.Def.NodeType(typeName) == nil && e.Def.EdgeType(typeName) == nil {
+			return e.render(t, typeName), false
+		}
 		v, _ = e.filtered.LoadOrStore(key, &renderSlot{})
 	}
 	return v.(*renderSlot).get(func() *Rendered { return e.render(t, typeName) })

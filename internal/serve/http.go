@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -126,13 +125,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // ListenAndServe binds addr (host:port; port 0 picks a free port) and serves
-// the handler in the background. It returns the bound address and a closer
-// that stops the listener; in-flight requests finish on their own.
+// the handler in the background (obs.ListenAndServe: clients that never
+// finish their headers are dropped after obs.ReadHeaderTimeout). It returns
+// the bound address and a closer that stops the listener; in-flight
+// requests finish on their own.
 func (s *Server) ListenAndServe(addr string) (string, io.Closer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	go func() { _ = http.Serve(ln, s.Handler()) }()
-	return ln.Addr().String(), ln, nil
+	return obs.ListenAndServe(addr, s.Handler())
 }

@@ -3,14 +3,19 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pghive/internal/core"
+	"pghive/internal/obs"
 	"pghive/internal/pg"
 	"pghive/internal/serialize"
 )
@@ -123,8 +128,9 @@ func TestServeEpochProgression(t *testing.T) {
 }
 
 // TestServeShardedPublishes runs a sharded ingest and checks that the
-// checkpoint-tee path publishes mid-stream fleet epochs (not only the final
-// one) and that the final schema matches the batch sharded run.
+// engine's fleet epochs publish mid-stream (not only the final one), that
+// the frontier is monotone, and that the final schema matches the batch
+// sharded run.
 func TestServeShardedPublishes(t *testing.T) {
 	batches := stream(16)
 	cfg := core.Config{Shards: 2, EpochInterval: 4}
@@ -147,12 +153,9 @@ func TestServeShardedPublishes(t *testing.T) {
 	if !bytes.Equal(resp.Body, wantJSON.Bytes()) {
 		t.Fatalf("sharded served schema differs from DiscoverSharded output")
 	}
-	// The async merge may skip boundaries under scheduler pressure, but the
-	// final publish always lands, so at least one epoch exists and the
-	// frontier is monotone.
 	hist := s.Epochs()
-	if len(hist) == 0 {
-		t.Fatal("no epochs published")
+	if len(hist) < 2 || hist[0].Final {
+		t.Fatalf("want a non-final fleet epoch before the final one, got %d epochs", len(hist))
 	}
 	for i := 1; i < len(hist); i++ {
 		if hist[i].Batches < hist[i-1].Batches {
@@ -201,6 +204,19 @@ func TestServeGracefulResume(t *testing.T) {
 	if !bytes.Equal(resp.Body, wantJSON.Bytes()) {
 		t.Fatal("resumed served schema differs from uninterrupted run")
 	}
+}
+
+// memCheckpointer keeps the latest checkpoint in memory.
+type memCheckpointer struct {
+	mu    sync.Mutex
+	state []byte
+}
+
+func (m *memCheckpointer) Save(state []byte) error {
+	m.mu.Lock()
+	m.state = append(m.state[:0], state...)
+	m.mu.Unlock()
+	return nil
 }
 
 // gateSource counts pulls and fires a hook once after the Nth.
@@ -497,4 +513,95 @@ func BenchmarkServeCacheHit(b *testing.B) {
 			b.Fatal("cache miss on hot path")
 		}
 	}
+}
+
+// TestServeDropsUnfinishedHeaders: the schema listener disconnects a client
+// that never finishes its request headers within obs.ReadHeaderTimeout.
+func TestServeDropsUnfinishedHeaders(t *testing.T) {
+	t.Parallel()
+	addr, closer, err := NewServer(nil).ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /schema HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(obs.ReadHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server still holds the stalled connection after %v", time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed > obs.ReadHeaderTimeout+2*time.Second {
+		t.Fatalf("stalled client dropped after %v, timeout is %v", elapsed, obs.ReadHeaderTimeout)
+	}
+}
+
+// TestFilterCacheBounded: ?type= names that are not types of the epoch's
+// Def render uncached — 10,000 bogus names leave the filter cache as it
+// was — and their bodies are exactly what a cached render would hold.
+// Names of real types are cached as before.
+func TestFilterCacheBounded(t *testing.T) {
+	s := NewServer(nil)
+	if _, err := s.Ingest(src(stream(8)), IngestOptions{Config: core.Config{EpochInterval: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	e := s.Current()
+	cached := func() int {
+		n := 0
+		e.filtered.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	for tier := Tier(0); tier < numTiers; tier++ {
+		for _, name := range []string{"Person", "WORKS_AT"} {
+			e.RenderedFiltered(tier, name)
+			if _, hit := e.RenderedFiltered(tier, name); !hit {
+				t.Fatalf("%s|%s: second render of a real type must hit", tier, name)
+			}
+		}
+	}
+	before := cached()
+	if before != 2*NumTiers {
+		t.Fatalf("cache holds %d slots after 2 types × %d tiers", before, NumTiers)
+	}
+	for i := 0; i < 10_000; i++ {
+		tier := Tier(i % NumTiers)
+		name := fmt.Sprintf("Bogus%d", i)
+		resp, hit := e.RenderedFiltered(tier, name)
+		if hit {
+			t.Fatalf("%s|%s: unknown name served from cache", tier, name)
+		}
+		if i < NumTiers && !sameBody(t, resp.Body, renderTier(e, tier, name)) {
+			t.Fatalf("%s|%s: uncached body differs from the rendered one", tier, name)
+		}
+	}
+	if got := cached(); got != before {
+		t.Fatalf("10,000 bogus names grew the filter cache from %d to %d slots", before, got)
+	}
+}
+
+// sameBody reports whether two response bodies are equal up to
+// render_time_us, the one field that differs between two renders of the
+// same response.
+func sameBody(t *testing.T, a, b []byte) bool {
+	t.Helper()
+	var x, y map[string]any
+	if err := json.Unmarshal(a, &x); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &y); err != nil {
+		t.Fatal(err)
+	}
+	delete(x, "render_time_us")
+	delete(y, "render_time_us")
+	return reflect.DeepEqual(x, y)
 }
